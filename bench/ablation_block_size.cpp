@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   std::cout << "=== Ablation: thread-block geometry on the A100 ===\n\n";
 
   const auto spec = gpusim::GpuSpec::a100();
-  const perfmodel::GpuMachineModel model(perfmodel::GpuPerfSpec::a100());
+  const perfmodel::GpuMachineModel model(spec);
 
   struct Shape {
     Dim3 block;

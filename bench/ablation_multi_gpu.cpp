@@ -60,8 +60,8 @@ struct MeasuredPoint {
 
 int main(int argc, char** argv) {
   using perfmodel::GpuMachineModel;
-  using perfmodel::GpuPerfSpec;
-  using perfmodel::LinkSpec;
+  using perfmodel::GpuSpec;
+  using perfmodel::Link;
 
   std::size_t n = 768;
   double require = 0.0;  // minimum 4-GCD speedup; 0 = report only
@@ -82,16 +82,16 @@ int main(int argc, char** argv) {
   std::cout << "=== Ablation: multi-device scaling (FP64) ===\n\n";
 
   // --- modeled curves (the original ablation tables, n = 16384) ---
-  const GpuMachineModel mi250x(GpuPerfSpec::mi250x_gcd());
+  const GpuMachineModel mi250x(GpuSpec::mi250x_gcd());
   const auto strong = perfmodel::strong_scaling_gemm(
-      mi250x, LinkSpec::infinity_fabric(), Precision::kDouble, 16384, 8);
+      mi250x, Link::infinity_fabric(), Precision::kDouble, 16384, 8);
   print_sweep("Crusher node: 8 MI250X GCDs, strong scaling (one GEMM row-split)", strong);
   print_sweep("Crusher node: 8 GCDs, weak scaling (one GEMM per GCD)",
-              perfmodel::weak_scaling_gemm(mi250x, LinkSpec::infinity_fabric(),
+              perfmodel::weak_scaling_gemm(mi250x, Link::infinity_fabric(),
                                            Precision::kDouble, 16384, 8));
-  const GpuMachineModel a100(GpuPerfSpec::a100());
+  const GpuMachineModel a100(GpuSpec::a100());
   print_sweep("Wombat node: 2 A100s, strong scaling",
-              perfmodel::strong_scaling_gemm(a100, LinkSpec::pcie4_x16(),
+              perfmodel::strong_scaling_gemm(a100, Link::pcie4_x16(),
                                              Precision::kDouble, 16384, 2));
 
   // --- measured sharded pipeline at 1/2/4 GCDs, host-sized problem ---
@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
   params.n = n;
   params.panel_rows = 128;
   const auto predicted = perfmodel::sharded_pipeline_gemm(
-      mi250x, perfmodel::NodeShape::crusher(), Precision::kDouble, params, 4);
+      mi250x, perfmodel::NodeSpec::crusher(), Precision::kDouble, params, 4);
   std::vector<double> pred_totals;
   std::vector<double> meas_totals;
   for (const auto& p : measured) {

@@ -19,7 +19,7 @@ int main() {
   using namespace portabench;
 
   std::cout << "=== Ablation: naive vs shared-memory tiled GEMM (A100, FP64) ===\n\n";
-  const perfmodel::GpuMachineModel model(perfmodel::GpuPerfSpec::a100());
+  const perfmodel::GpuMachineModel model(perfmodel::GpuSpec::a100());
 
   // The tiled kernel stages both A and B tiles through shared memory, so
   // its DRAM traffic is the compulsory 2*n^2 reads (each element loaded
@@ -34,8 +34,8 @@ int main() {
     const double tiled_traffic =
         model.dram_traffic_bytes(Precision::kDouble, n, 64);  // ~2x reuse
     const double flops = 2.0 * static_cast<double>(n) * n * n;
-    const double bw = perfmodel::GpuPerfSpec::a100().mem_bw_gbs * 1e9 * 0.85;
-    const double peak = perfmodel::GpuPerfSpec::a100().peak_fp64_gflops * 1e9 * 0.80;
+    const double bw = perfmodel::GpuSpec::a100().mem_bw_gbs * 1e9 * 0.85;
+    const double peak = perfmodel::GpuSpec::a100().peak_fp64_gflops * 1e9 * 0.80;
     const double tiled_t = std::max(flops / peak, tiled_traffic / bw);
     t.add_row({std::to_string(n), Table::num(naive.dram_bytes / 1e9, 1),
                Table::num(tiled_traffic / 1e9, 1), Table::num(naive.gflops, 1),

@@ -82,8 +82,7 @@ double pipeline_makespan(gpusim::DeviceContext& ctx, std::size_t panels, double 
 int main(int argc, char** argv) {
   using perfmodel::end_to_end_gemm;
   using perfmodel::GpuMachineModel;
-  using perfmodel::GpuPerfSpec;
-  using perfmodel::LinkSpec;
+  using perfmodel::Link;
 
   double require = 0.0;  // minimum scheduled overlap speedup; 0 = report only
   std::string out_path = "BENCH_overlap.json";
@@ -102,26 +101,24 @@ int main(int argc, char** argv) {
 
   struct Target {
     const char* label;
-    GpuMachineModel model;
-    LinkSpec link;
-    gpusim::GpuSpec functional;
+    gpusim::GpuSpec spec;
+    Link link;
   };
-  Target targets[] = {
-      {"A100 over PCIe 4.0 x16", GpuMachineModel(GpuPerfSpec::a100()), LinkSpec::pcie4_x16(),
-       gpusim::GpuSpec::a100()},
-      {"MI250X GCD over Infinity Fabric", GpuMachineModel(GpuPerfSpec::mi250x_gcd()),
-       LinkSpec::infinity_fabric(), gpusim::GpuSpec::mi250x_gcd()},
+  const Target targets[] = {
+      {"A100 over PCIe 4.0 x16", gpusim::GpuSpec::a100(), Link::pcie4_x16()},
+      {"MI250X GCD over Infinity Fabric", gpusim::GpuSpec::mi250x_gcd(), Link::infinity_fabric()},
   };
 
-  for (auto& target : targets) {
+  for (const auto& target : targets) {
     std::cout << "--- " << target.label << " (FP64) ---\n";
     Table t({"n", "batches", "kernel (ms)", "H2D+D2H (ms)", "serial (ms)",
              "overlapped (ms)", "speedup", "stream-sched (ms)"});
-    gpusim::DeviceContext ctx(target.functional);
+    const GpuMachineModel model(target.spec);
+    gpusim::DeviceContext ctx(target.spec);
     for (std::size_t n : {2048u, 4096u, 8192u}) {
       for (std::size_t batches : {1u, 4u, 16u}) {
         const auto e2e =
-            end_to_end_gemm(target.model, target.link, Precision::kDouble, n, batches);
+            end_to_end_gemm(model, target.link, Precision::kDouble, n, batches);
         const double streams =
             stream_schedule(ctx, e2e.h2d_s, e2e.kernel_s, e2e.d2h_s, batches);
         t.add_row({std::to_string(n), std::to_string(batches),
@@ -143,12 +140,12 @@ int main(int argc, char** argv) {
   const std::size_t bal_n = 2304;
   const std::size_t panel_rows = 128;
   const std::size_t panels = 16;
-  const GpuMachineModel mi250x(GpuPerfSpec::mi250x_gcd());
+  const GpuMachineModel mi250x(gpusim::GpuSpec::mi250x_gcd());
   const gpusim::TopologyConfig crusher = gpusim::TopologyConfig::crusher_node(1);
   const double kernel_panel = mi250x.reference_time(Precision::kDouble, bal_n).total_s *
                               static_cast<double>(panel_rows) / static_cast<double>(bal_n);
   const double bytes_panel = static_cast<double>(panel_rows * bal_n) * sizeof(double);
-  const double h2d_panel = crusher.h2d_local.seconds(static_cast<std::size_t>(bytes_panel));
+  const double h2d_panel = crusher.node.h2d_local.seconds(bytes_panel);
   const double d2h_panel = h2d_panel;
   gpusim::DeviceContext sched_ctx(gpusim::GpuSpec::mi250x_gcd());
   const double strict_s =

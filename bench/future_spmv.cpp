@@ -99,11 +99,11 @@ int main() {
     model.add_row({"Wombat Ampere Altra", Table::num(q.arithmetic_intensity, 3),
                    Table::num(q.gflops, 1),
                    Table::num(100.0 * q.gflops / altra.peak_gflops(Precision::kDouble), 1)});
-    const auto mi = perfmodel::GpuPerfSpec::mi250x_gcd();
+    const auto mi = perfmodel::GpuSpec::mi250x_gcd();
     const auto r = predict_spmv_gpu(mi, rows, nnz);
     model.add_row({"Crusher MI250X (GCD)", Table::num(r.arithmetic_intensity, 3),
                    Table::num(r.gflops, 1), Table::num(100.0 * r.gflops / mi.peak_fp64_gflops, 1)});
-    const auto a100 = perfmodel::GpuPerfSpec::a100();
+    const auto a100 = perfmodel::GpuSpec::a100();
     const auto s = predict_spmv_gpu(a100, rows, nnz);
     model.add_row({"Wombat A100", Table::num(s.arithmetic_intensity, 3),
                    Table::num(s.gflops, 1),

@@ -65,13 +65,13 @@ int main() {
                    Table::num(altra.gflops, 1), Table::num(altra.sweeps_per_second, 1), "-"});
     for (bool tiled : {false, true}) {
       const auto a100 =
-          predict_stencil_gpu(perfmodel::GpuPerfSpec::a100(), 8192, 8192, tiled);
+          predict_stencil_gpu(perfmodel::GpuSpec::a100(), 8192, 8192, tiled);
       model.add_row({"Wombat A100", Table::num(a100.arithmetic_intensity, 3),
                      Table::num(a100.gflops, 1), Table::num(a100.sweeps_per_second, 1),
                      tiled ? "shared-memory tiled" : "naive"});
     }
     const auto mi =
-        predict_stencil_gpu(perfmodel::GpuPerfSpec::mi250x_gcd(), 8192, 8192, true);
+        predict_stencil_gpu(perfmodel::GpuSpec::mi250x_gcd(), 8192, 8192, true);
     model.add_row({"Crusher MI250X (GCD)", Table::num(mi.arithmetic_intensity, 3),
                    Table::num(mi.gflops, 1), Table::num(mi.sweeps_per_second, 1),
                    "shared-memory tiled"});

@@ -81,9 +81,10 @@ int main() {
             << "\n\n";
 
   // 3. Device path: per-batch kernel launches pipelined on a stream.
-  gpusim::DeviceContext ctx(gpusim::GpuSpec::mi250x_gcd());
-  const perfmodel::GpuMachineModel machine(perfmodel::GpuPerfSpec::mi250x_gcd());
-  const auto link = perfmodel::LinkSpec::infinity_fabric();
+  const auto gcd = gpusim::GpuSpec::mi250x_gcd();
+  gpusim::DeviceContext ctx(gcd);
+  const perfmodel::GpuMachineModel machine(gcd);
+  const auto link = perfmodel::Link::infinity_fabric();
   const auto e2e = perfmodel::end_to_end_gemm(machine, link, Precision::kDouble, kN, kBatch);
 
   // Functional run of every batch on the simulator, verifying one slice.

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/hardware.hpp"
 
 namespace portabench::cachesim {
 
@@ -95,10 +96,13 @@ class Hierarchy {
   void flush();
 
   /// The cache structure of one EPYC 7A53 core + its share of L3
-  /// (32 KiB L1d / 512 KiB L2 / 256 MiB shared L3, scaled by `l3_share`).
-  static Hierarchy epyc_7a53_core(double l3_share = 1.0 / 64.0);
+  /// (32 KiB L1d / 512 KiB L2 / 256 MiB shared L3, scaled by `l3_share`,
+  /// by default one core's share).
+  static Hierarchy epyc_7a53_core(
+      double l3_share = 1.0 / static_cast<double>(hw::CpuSpec::epyc_7a53().cores));
   /// Ampere Altra core: 64 KiB L1d / 1 MiB L2 / 32 MiB SLC share.
-  static Hierarchy ampere_altra_core(double slc_share = 1.0 / 80.0);
+  static Hierarchy ampere_altra_core(
+      double slc_share = 1.0 / static_cast<double>(hw::CpuSpec::ampere_altra().cores));
 
  private:
   std::vector<Cache> caches_;

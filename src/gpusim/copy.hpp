@@ -18,7 +18,7 @@
 //  - The host payload (memcpy) runs when the stream executes the op.  In
 //    async mode the caller must keep the host span alive until the
 //    stream synchronizes, exactly like cudaMemcpyAsync.
-//  - The modeled cost comes from a LinkModel; Transfer::throttle makes
+//  - The modeled cost comes from a Link; Transfer::throttle makes
 //    the stream worker hold the op until the modeled seconds really
 //    elapsed, so overlap benches measure genuine wall-time overlap
 //    "under the modeled link bandwidth".
@@ -37,7 +37,7 @@ namespace portabench::gpusim {
 
 /// How a single async transfer is costed and executed.
 struct Transfer {
-  LinkModel link{};       ///< modeled latency + bandwidth
+  Link link{};            ///< modeled latency + bandwidth
   bool throttle = false;  ///< enforce the modeled time in wall time
 };
 

@@ -4,38 +4,6 @@
 
 namespace portabench::gpusim {
 
-GpuSpec GpuSpec::a100() {
-  GpuSpec s;
-  s.name = "NVIDIA A100";
-  s.vendor = Vendor::kNvidia;
-  s.warp_size = 32;
-  s.sm_count = 108;
-  s.max_threads_per_block = 1024;
-  s.max_threads_per_sm = 2048;
-  s.max_blocks_per_sm = 32;
-  s.registers_per_sm = 65536;
-  s.shared_mem_per_block = 48 * 1024;
-  s.shared_mem_per_sm = 164 * 1024;
-  s.global_mem_bytes = std::size_t{40} * 1024 * 1024 * 1024;
-  return s;
-}
-
-GpuSpec GpuSpec::mi250x_gcd() {
-  GpuSpec s;
-  s.name = "AMD MI250X (1 GCD)";
-  s.vendor = Vendor::kAmd;
-  s.warp_size = 64;  // AMD wavefront
-  s.sm_count = 110;  // compute units per GCD
-  s.max_threads_per_block = 1024;
-  s.max_threads_per_sm = 2048;
-  s.max_blocks_per_sm = 32;
-  s.registers_per_sm = 65536;
-  s.shared_mem_per_block = 64 * 1024;
-  s.shared_mem_per_sm = 64 * 1024;
-  s.global_mem_bytes = std::size_t{64} * 1024 * 1024 * 1024;
-  return s;
-}
-
 DeviceContext::DeviceContext(GpuSpec spec) : spec_(std::move(spec)) {
   PB_EXPECTS(spec_.warp_size > 0 && spec_.max_threads_per_block > 0);
 }

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 
 #include "common/error.hpp"
 #include "dim3.hpp"
@@ -23,27 +22,10 @@ namespace portabench::gpusim {
 
 class LaunchEngine;
 
-enum class Vendor { kNvidia, kAmd };
-
-/// Functional device limits and SIMT parameters.
-struct GpuSpec {
-  std::string name;
-  Vendor vendor = Vendor::kNvidia;
-  std::size_t warp_size = 32;           ///< 32 (NVIDIA warp) or 64 (AMD wavefront)
-  std::size_t sm_count = 108;           ///< A100: 108 SMs; MI250X GCD: 110 CUs
-  std::size_t max_threads_per_block = 1024;
-  std::size_t max_threads_per_sm = 2048;
-  std::size_t max_blocks_per_sm = 32;
-  std::size_t registers_per_sm = 65536;
-  std::size_t shared_mem_per_block = 48 * 1024;
-  std::size_t shared_mem_per_sm = 164 * 1024;
-  std::size_t global_mem_bytes = std::size_t{64} * 1024 * 1024 * 1024;
-
-  /// NVIDIA A100 (SXM4, 40 GB) functional parameters.
-  static GpuSpec a100();
-  /// One GCD of an AMD MI250X (the paper's single-GPU runs use one GCD).
-  static GpuSpec mi250x_gcd();
-};
+/// Functional device limits and SIMT parameters come from the hardware
+/// description's GPU record (GpuSpec::a100(), GpuSpec::mi250x_gcd()).
+using hw::GpuSpec;
+using hw::Vendor;
 
 /// Cumulative activity counters, inspectable the way the paper used
 /// nvprof "to corroborate GPU activity".  Returned by value: a snapshot

@@ -10,11 +10,11 @@
 
 #include <cstddef>
 
+#include "common/hardware.hpp"
+
 namespace portabench::gpusim {
 
-// device.hpp includes this header (the launch-config cache stores an
-// Occupancy per entry), so only a forward declaration here.
-struct GpuSpec;
+using hw::GpuSpec;
 
 /// Per-kernel resource footprint.
 struct KernelResources {

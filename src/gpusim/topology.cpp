@@ -2,46 +2,24 @@
 
 namespace portabench::gpusim {
 
-TopologyConfig TopologyConfig::crusher_node(std::size_t devices) {
-  TopologyConfig cfg;
-  cfg.device_spec = GpuSpec::mi250x_gcd();
-  cfg.devices = devices;
-  cfg.host = simrt::CpuTopology{64, 4};  // EPYC 7A53
-  return cfg;
-}
-
-TopologyConfig TopologyConfig::wombat_node(std::size_t devices) {
-  TopologyConfig cfg;
-  cfg.device_spec = GpuSpec::a100();
-  cfg.devices = devices;
-  cfg.host = simrt::CpuTopology{80, 1};  // Ampere Altra: one domain
-  cfg.h2d_local = LinkModel{16.0, 5.0};  // PCIe4 x16, no NUMA asymmetry
-  cfg.h2d_remote = cfg.h2d_local;
-  cfg.d2d_near = LinkModel{16.0, 5.0};   // peer traffic bounces through PCIe
-  cfg.d2d_far = cfg.d2d_near;
-  return cfg;
-}
-
 DeviceTopology::DeviceTopology(TopologyConfig cfg) : cfg_(std::move(cfg)) {
-  PB_EXPECTS(cfg_.devices >= 1);
-  PB_EXPECTS(cfg_.host.numa_domains >= 1 && cfg_.host.cores >= cfg_.host.numa_domains);
+  const NodeSpec& node = cfg_.node;
+  PB_EXPECTS(node.devices >= 1);
+  PB_EXPECTS(node.host.numa_domains >= 1 && node.host.cores >= node.host.numa_domains);
 
   const bool degenerate =
-      cfg_.devices == 1 && cfg_.workers_per_device == 0 && !cfg_.pin_workers;
+      node.devices == 1 && cfg_.workers_per_device == 0 && !cfg_.pin_workers;
   workers_per_device_ = cfg_.workers_per_device != 0
                             ? cfg_.workers_per_device
-                            : std::max<std::size_t>(1, cfg_.host.cores / cfg_.devices);
+                            : std::max<std::size_t>(1, node.host.cores / node.devices);
 
-  contexts_.reserve(cfg_.devices);
-  for (std::size_t d = 0; d < cfg_.devices; ++d) {
-    contexts_.push_back(std::make_unique<DeviceContext>(cfg_.device_spec));
+  contexts_.reserve(node.devices);
+  for (std::size_t d = 0; d < node.devices; ++d) {
+    contexts_.push_back(std::make_unique<DeviceContext>(node.gpu));
     if (degenerate) continue;  // leave engine() on LaunchEngine::shared()
     simrt::Placement placement;
     if (cfg_.pin_workers) {
-      // numa_domain_of() divides by the final device count; contexts_ is
-      // still growing here, so compute the domain from cfg_ directly.
-      const std::size_t domain = d * cfg_.host.numa_domains / cfg_.devices;
-      placement = simrt::domain_placement(cfg_.host, workers_per_device_, domain);
+      placement = simrt::domain_placement(node.host, workers_per_device_, node.numa_domain_of(d));
     }
     contexts_.back()->set_engine(
         std::make_shared<LaunchEngine>(workers_per_device_, std::move(placement)));

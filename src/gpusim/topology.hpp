@@ -29,56 +29,36 @@
 
 namespace portabench::gpusim {
 
-/// One directed link's modeled characteristics (latency + bandwidth).
-struct LinkModel {
-  double bw_gbs = 16.0;    ///< GB/s (1e9 bytes per second)
-  double latency_us = 5.0; ///< per-transfer setup latency
+using hw::Link;
+using hw::NodeSpec;
 
-  [[nodiscard]] double seconds(std::size_t bytes) const noexcept {
-    return latency_us * 1e-6 + static_cast<double>(bytes) / (bw_gbs * 1e9);
-  }
-};
-
-/// Shape of the node: how many devices, which host CPU feeds them, and
-/// the modeled link characteristics between the pieces.
+/// A simulated node: the hardware description's node record (GPU,
+/// device count, host CPU, links) plus the simulator's runtime knobs.
 struct TopologyConfig {
-  GpuSpec device_spec = GpuSpec::mi250x_gcd();
-  std::size_t devices = 1;
-
-  /// Host CPU that stages transfers; its NUMA domain count drives which
-  /// H2D link (local or remote) a staging buffer sees.
-  simrt::CpuTopology host{1, 1};
+  NodeSpec node;
 
   /// Host workers each device's LaunchEngine forks to.  0 resolves to
-  /// host.cores / devices (at least 1) so the simulated node's compute
-  /// splits evenly, matching one EPYC L3 complex driving each GCD.
+  /// node.host.cores / node.devices (at least 1) so the simulated node's
+  /// compute splits evenly, matching one EPYC L3 complex driving each GCD.
   std::size_t workers_per_device = 0;
 
   /// Pin each device's workers to the device's NUMA domain
   /// (domain_placement).  Off: workers float, like OMP_PROC_BIND=false.
   bool pin_workers = true;
 
-  // Per-link models.  Defaults follow the Crusher numbers: host-attached
-  // Infinity Fabric at ~36 GB/s to the local domain, roughly a third of
-  // that when the staging buffer lives in a remote domain and the
-  // transfer crosses the socket fabric first; GCD pairs inside one MCM
-  // see the wide in-package fabric, cross-package hops the narrow one.
-  LinkModel h2d_local{36.0, 5.0};
-  LinkModel h2d_remote{12.0, 8.0};
-  LinkModel d2d_near{200.0, 2.0};
-  LinkModel d2d_far{50.0, 3.0};
-
   /// Enforce modeled link time in wall time on the stream worker (spin
   /// after the host memcpy until the modeled seconds elapsed).  Benches
   /// measuring overlap turn this on; tests leave it off.
   bool throttle_links = false;
 
-  /// Crusher node: `devices` MI250X GCDs (8 = full node) behind a
-  /// 64-core 4-NUMA EPYC 7A53.
-  [[nodiscard]] static TopologyConfig crusher_node(std::size_t devices = 8);
-  /// Wombat-style pairing: 2 A100s behind a single-domain host over
-  /// PCIe4-class links (no near/far D2D asymmetry worth modeling).
-  [[nodiscard]] static TopologyConfig wombat_node(std::size_t devices = 2);
+  /// Crusher node: `devices` MI250X GCDs (8 = full node) behind the EPYC.
+  [[nodiscard]] static TopologyConfig crusher_node(std::size_t devices = 8) {
+    return {.node = NodeSpec::crusher(devices)};
+  }
+  /// Wombat node: `devices` A100s behind the single-domain Altra.
+  [[nodiscard]] static TopologyConfig wombat_node(std::size_t devices = 2) {
+    return {.node = NodeSpec::wombat(devices)};
+  }
 };
 
 /// N simulated devices with per-device contexts, engines and links.
@@ -111,38 +91,20 @@ class DeviceTopology {
 
   /// NUMA domain that feeds a device (Crusher: GCD g -> domain g/2).
   [[nodiscard]] std::size_t numa_domain_of(std::size_t device) const {
-    PB_EXPECTS(device < contexts_.size());
-    return device * cfg_.host.numa_domains / contexts_.size();
+    return cfg_.node.numa_domain_of(device);
   }
-  /// MCM package of a device (two GCDs per MI250X package).
-  [[nodiscard]] std::size_t package_of(std::size_t device) const {
-    PB_EXPECTS(device < contexts_.size());
-    return device / 2;
-  }
-
-  /// Link a host-to-device transfer rides, given the staging buffer's
-  /// home domain: local when it matches the device's feeding domain.
-  [[nodiscard]] const LinkModel& h2d_link(std::size_t device, std::size_t src_domain) const {
-    return src_domain == numa_domain_of(device) ? cfg_.h2d_local : cfg_.h2d_remote;
+  /// Link a host<->device transfer rides, given the host buffer's home
+  /// domain: local when it matches the device's feeding domain.
+  [[nodiscard]] const Link& h2d_link(std::size_t device, std::size_t host_domain) const {
+    return cfg_.node.h2d(device, host_domain);
   }
   /// Device-to-device link: wide in-package fabric for an MCM pair,
   /// narrow cross-package hop otherwise.
-  [[nodiscard]] const LinkModel& d2d_link(std::size_t src, std::size_t dst) const {
-    return package_of(src) == package_of(dst) ? cfg_.d2d_near : cfg_.d2d_far;
-  }
-
-  [[nodiscard]] double h2d_seconds(std::size_t device, std::size_t bytes,
-                                   std::size_t src_domain) const {
-    return h2d_link(device, src_domain).seconds(bytes);
-  }
-  [[nodiscard]] double d2h_seconds(std::size_t device, std::size_t bytes,
-                                   std::size_t dst_domain) const {
-    // Same fabric both directions (the links are duplex); asymmetric
-    // configs can diverge h2d_*/d2h_* later without changing callers.
-    return h2d_link(device, dst_domain).seconds(bytes);
+  [[nodiscard]] const Link& d2d_link(std::size_t src, std::size_t dst) const {
+    return cfg_.node.d2d(src, dst);
   }
   [[nodiscard]] double d2d_seconds(std::size_t src, std::size_t dst, std::size_t bytes) const {
-    return d2d_link(src, dst).seconds(bytes);
+    return d2d_link(src, dst).seconds(static_cast<double>(bytes));
   }
 
  private:

@@ -18,17 +18,8 @@ namespace portabench::models {
 
 namespace detail {
 
-namespace {
-
-gpusim::GpuSpec functional_spec(Platform p) {
-  PB_EXPECTS(perfmodel::is_gpu(p));
-  return p == Platform::kCrusherGpu ? gpusim::GpuSpec::mi250x_gcd() : gpusim::GpuSpec::a100();
-}
-
-}  // namespace
-
 GpuRunnerBase::GpuRunnerBase(Platform platform)
-    : device_(functional_spec(platform)), platform_(platform) {
+    : device_(perfmodel::gpu_model_for(platform).spec()), platform_(platform) {
   PB_EXPECTS(perfmodel::is_gpu(platform));
 }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/timer.hpp"
+#include "perfmodel/predict.hpp"
 #include "spmv/kernels.hpp"
 #include "spmv/model.hpp"
 
@@ -16,13 +17,9 @@ using spmv::CsrMatrix;
 
 double vendor_spmv_gflops(Platform p, std::size_t rows, std::size_t nnz) {
   if (perfmodel::is_gpu(p)) {
-    const auto spec = p == Platform::kCrusherGpu ? perfmodel::GpuPerfSpec::mi250x_gcd()
-                                                 : perfmodel::GpuPerfSpec::a100();
-    return spmv::predict_spmv_gpu(spec, rows, nnz).gflops;
+    return spmv::predict_spmv_gpu(perfmodel::gpu_model_for(p).spec(), rows, nnz).gflops;
   }
-  const auto spec = p == Platform::kCrusherCpu ? perfmodel::CpuSpec::epyc_7a53()
-                                               : perfmodel::CpuSpec::ampere_altra();
-  return spmv::predict_spmv_cpu(spec, rows, nnz).gflops;
+  return spmv::predict_spmv_cpu(perfmodel::cpu_model_for(p).spec(), rows, nnz).gflops;
 }
 
 /// Shared run logic: build the matrix, execute via `execute`, verify.
@@ -92,8 +89,7 @@ class CpuSpmvRunner final : public SpmvRunner {
 class GpuSpmvRunner final : public SpmvRunner {
  public:
   GpuSpmvRunner(Platform platform, Family family)
-      : device_(platform == Platform::kCrusherGpu ? gpusim::GpuSpec::mi250x_gcd()
-                                                  : gpusim::GpuSpec::a100()),
+      : device_(perfmodel::gpu_model_for(platform).spec()),
         platform_(platform),
         family_(family) {}
   [[nodiscard]] Family family() const noexcept override { return family_; }

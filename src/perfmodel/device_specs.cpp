@@ -1,101 +1,6 @@
 #include "device_specs.hpp"
 
-#include "common/error.hpp"
-
 namespace portabench::perfmodel {
-
-double CpuSpec::flops_per_cycle(Precision prec) const {
-  const double lanes64 = static_cast<double>(simd_bits) / 64.0;
-  switch (prec) {
-    case Precision::kDouble:
-      return 2.0 * static_cast<double>(fma_pipes) * lanes64;
-    case Precision::kSingle:
-      return 2.0 * static_cast<double>(fma_pipes) * lanes64 * 2.0;
-    case Precision::kHalfIn:
-      // With native FP16 the vector is twice as wide again; without it,
-      // every element converts through FP32, so the rate is the FP32 rate
-      // (conversion cost is modeled separately in the traits).
-      return 2.0 * static_cast<double>(fma_pipes) * lanes64 * (native_fp16 ? 8.0 : 4.0) / 2.0;
-  }
-  return 0.0;
-}
-
-double CpuSpec::peak_gflops(Precision prec) const {
-  return static_cast<double>(cores) * freq_ghz * flops_per_cycle(prec);
-}
-
-CpuSpec CpuSpec::epyc_7a53() {
-  CpuSpec s;
-  s.name = "AMD EPYC 7A53 (Trento, Zen 3)";
-  s.cores = 64;
-  s.numa_domains = 4;
-  s.freq_ghz = 2.0;
-  s.simd_bits = 256;  // AVX2
-  s.fma_pipes = 2;
-  s.mem_bw_gbs = 205.0;  // 8-channel DDR4-3200
-  s.l3_bytes = 256.0e6;
-  s.l2_per_core_bytes = 512e3;
-  s.fork_join_us = 18.0;  // 64 threads across 4 NUMA domains
-  s.native_fp16 = false;
-  return s;
-}
-
-CpuSpec CpuSpec::ampere_altra() {
-  CpuSpec s;
-  s.name = "Ampere Altra (Neoverse N1)";
-  s.cores = 80;
-  s.numa_domains = 1;
-  s.freq_ghz = 3.0;
-  s.simd_bits = 128;  // 2x NEON
-  s.fma_pipes = 2;
-  s.mem_bw_gbs = 204.0;  // 8-channel DDR4-3200
-  s.l3_bytes = 32.0e6;   // system-level cache
-  s.l2_per_core_bytes = 1024e3;
-  s.fork_join_us = 12.0;
-  s.native_fp16 = true;  // Armv8.2 FP16 arithmetic
-  return s;
-}
-
-double GpuPerfSpec::peak_gflops(Precision prec) const {
-  switch (prec) {
-    case Precision::kDouble: return peak_fp64_gflops;
-    case Precision::kSingle: return peak_fp32_gflops;
-    case Precision::kHalfIn: return peak_fp16_gflops;
-  }
-  return 0.0;
-}
-
-GpuPerfSpec GpuPerfSpec::a100() {
-  GpuPerfSpec s;
-  s.name = "NVIDIA A100 (SXM4 40GB)";
-  s.peak_fp64_gflops = 9700.0;
-  s.peak_fp32_gflops = 19500.0;
-  s.peak_fp16_gflops = 39000.0;  // vector FP16 (no tensor cores in naive kernels)
-  s.mem_bw_gbs = 1555.0;
-  s.launch_latency_us = 4.0;
-  s.sm_count = 108;
-  s.warp_size = 32;
-  s.l2_bytes = 40e6;
-  return s;
-}
-
-GpuPerfSpec GpuPerfSpec::mi250x_gcd() {
-  GpuPerfSpec s;
-  s.name = "AMD MI250X (one GCD)";
-  s.peak_fp64_gflops = 23950.0;
-  // CDNA2 vector FP32 nominally matches FP64, but packed (v_pk) FP32
-  // dual-issue lifts the achievable rate on multiply-add streams; the
-  // paper observes "all models provide an increase in performance" at
-  // FP32 on the MI250X, which this effective peak reflects.
-  s.peak_fp32_gflops = 35900.0;
-  s.peak_fp16_gflops = 47900.0;  // packed vector FP16
-  s.mem_bw_gbs = 1600.0;
-  s.launch_latency_us = 6.0;
-  s.sm_count = 110;
-  s.warp_size = 64;
-  s.l2_bytes = 8e6;
-  return s;
-}
 
 std::vector<SpecRow> table1_rows() {
   return {

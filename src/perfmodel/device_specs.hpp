@@ -1,62 +1,23 @@
 // Hardware specifications of the four targets (Tables I and II), plus the
 // software-stack rows the spec tables print.
 //
-// Peak rates use public vendor figures; the model never claims to match
-// the authors' absolute measurements (DESIGN.md "Non-goals"), it uses the
-// peaks to produce physically shaped GFLOPS-vs-size curves.
+// The hardware records live in common/hardware.hpp, shared with the
+// simulator.  Peak rates use public vendor figures; the model never
+// claims to match the authors' absolute measurements (DESIGN.md
+// "Non-goals"), it uses the peaks to produce physically shaped
+// GFLOPS-vs-size curves.
 #pragma once
 
-#include <cstddef>
 #include <string>
 #include <vector>
 
-#include "common/precision.hpp"
-#include "platform.hpp"
-#include "simrt/affinity.hpp"
+#include "common/hardware.hpp"
 
 namespace portabench::perfmodel {
 
-/// CPU node model.
-struct CpuSpec {
-  std::string name;
-  std::size_t cores = 1;
-  std::size_t numa_domains = 1;
-  double freq_ghz = 1.0;
-  std::size_t simd_bits = 128;       ///< vector width (AVX2: 256, NEON: 128)
-  std::size_t fma_pipes = 2;         ///< FMA-capable pipes per core
-  double mem_bw_gbs = 100.0;         ///< aggregate DRAM bandwidth
-  double l3_bytes = 32.0e6;          ///< shared last-level cache
-  double l2_per_core_bytes = 512e3;
-  double fork_join_us = 15.0;        ///< parallel-region open/close cost
-  bool native_fp16 = false;          ///< Arm has FP16 NEON; x86 Zen 3 does not
-
-  /// FLOPs per core per cycle at a precision (2 ops per FMA lane).
-  [[nodiscard]] double flops_per_cycle(Precision prec) const;
-  /// Aggregate peak GFLOP/s at a precision.
-  [[nodiscard]] double peak_gflops(Precision prec) const;
-  [[nodiscard]] simrt::CpuTopology topology() const { return {cores, numa_domains}; }
-
-  static CpuSpec epyc_7a53();     ///< Crusher: 64-core Zen 3 "Trento", 4 NUMA
-  static CpuSpec ampere_altra();  ///< Wombat: 80-core Neoverse N1, 1 NUMA
-};
-
-/// GPU device model (performance side; functional side is gpusim::GpuSpec).
-struct GpuPerfSpec {
-  std::string name;
-  double peak_fp64_gflops = 0.0;
-  double peak_fp32_gflops = 0.0;
-  double peak_fp16_gflops = 0.0;  ///< vector (non-tensor/matrix-core) rate
-  double mem_bw_gbs = 0.0;
-  double launch_latency_us = 5.0;
-  std::size_t sm_count = 1;
-  std::size_t warp_size = 32;
-  double l2_bytes = 40e6;
-
-  [[nodiscard]] double peak_gflops(Precision prec) const;
-
-  static GpuPerfSpec a100();        ///< Wombat: A100 SXM4 40 GB
-  static GpuPerfSpec mi250x_gcd();  ///< Crusher: one MI250X GCD
-};
+/// The CPU and GPU records of the hardware description.
+using hw::CpuSpec;
+using hw::GpuSpec;
 
 /// One row of the Table I / Table II software-stack dump.
 struct SpecRow {

@@ -6,25 +6,7 @@
 
 namespace portabench::perfmodel {
 
-LinkSpec LinkSpec::pcie4_x16() {
-  LinkSpec l;
-  l.name = "PCIe 4.0 x16";
-  l.bw_gbs = 26.0;  // sustained (of 32 theoretical)
-  l.latency_us = 6.0;
-  l.duplex = true;
-  return l;
-}
-
-LinkSpec LinkSpec::infinity_fabric() {
-  LinkSpec l;
-  l.name = "Infinity Fabric (CPU-GCD)";
-  l.bw_gbs = 36.0;
-  l.latency_us = 4.0;
-  l.duplex = true;
-  return l;
-}
-
-EndToEndTime end_to_end_gemm(const GpuMachineModel& model, const LinkSpec& link,
+EndToEndTime end_to_end_gemm(const GpuMachineModel& model, const Link& link,
                              Precision prec, std::size_t n, std::size_t batches) {
   PB_EXPECTS(n > 0 && batches >= 1);
   EndToEndTime t;
@@ -32,8 +14,8 @@ EndToEndTime end_to_end_gemm(const GpuMachineModel& model, const LinkSpec& link,
   const double in_bytes = 2.0 * nn * nn * static_cast<double>(input_bytes(prec));  // A + B
   const double out_bytes = nn * nn * static_cast<double>(output_bytes(prec));      // C
 
-  t.h2d_s = link.transfer_seconds(in_bytes);
-  t.d2h_s = link.transfer_seconds(out_bytes);
+  t.h2d_s = link.seconds(in_bytes);
+  t.d2h_s = link.seconds(out_bytes);
   t.kernel_s = model.reference_time(prec, n).total_s;
 
   const double b = static_cast<double>(batches);

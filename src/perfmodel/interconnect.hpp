@@ -10,28 +10,16 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
+#include "common/hardware.hpp"
 #include "common/precision.hpp"
 #include "machine_model.hpp"
 
 namespace portabench::perfmodel {
 
-/// A host<->device link.
-struct LinkSpec {
-  std::string name;
-  double bw_gbs = 16.0;      ///< sustained one-direction bandwidth
-  double latency_us = 5.0;   ///< per-transfer setup cost
-  bool duplex = true;        ///< H2D and D2H can proceed concurrently
-
-  /// Seconds to move `bytes` one way.
-  [[nodiscard]] double transfer_seconds(double bytes) const {
-    return latency_us * 1.0e-6 + bytes / (bw_gbs * 1.0e9);
-  }
-
-  static LinkSpec pcie4_x16();        ///< Wombat: A100 over PCIe 4.0 x16
-  static LinkSpec infinity_fabric();  ///< Crusher: CPU<->GCD Infinity Fabric
-};
+/// A host<->device link: Link::pcie4_x16() (Wombat) or
+/// Link::infinity_fabric() (Crusher).
+using hw::Link;
 
 /// End-to-end timing decomposition for one device GEMM including data
 /// movement (A and B in, C out).
@@ -47,7 +35,7 @@ struct EndToEndTime {
 /// GEMMs (batches >= 1).  Overlap assumes double buffering: chunk i+1's
 /// H2D overlaps chunk i's kernel, and D2H overlaps the next kernel when
 /// the link is duplex.
-[[nodiscard]] EndToEndTime end_to_end_gemm(const GpuMachineModel& model, const LinkSpec& link,
+[[nodiscard]] EndToEndTime end_to_end_gemm(const GpuMachineModel& model, const Link& link,
                                            Precision prec, std::size_t n,
                                            std::size_t batches = 1);
 

@@ -71,13 +71,13 @@ class CpuMachineModel {
 /// CUDA/HIP implementation.
 class GpuMachineModel {
  public:
-  GpuMachineModel(GpuPerfSpec spec, double kernel_compute_eff = 0.45,
+  GpuMachineModel(GpuSpec spec, double kernel_compute_eff = 0.45,
                   double kernel_bw_eff = 0.85)
       : spec_(std::move(spec)),
         compute_eff_(kernel_compute_eff),
         bw_eff_(kernel_bw_eff) {}
 
-  [[nodiscard]] const GpuPerfSpec& spec() const noexcept { return spec_; }
+  [[nodiscard]] const GpuSpec& spec() const noexcept { return spec_; }
 
   /// Modeled DRAM traffic: per 32x32 output tile the block reads 32 rows
   /// of A and 32 columns of B (A reads are warp-broadcast, B reads are
@@ -93,7 +93,7 @@ class GpuMachineModel {
       std::size_t tile = 32) const;  // portalint: tn-magic-tile-ok(the paper's hand-picked 32x32 reference tile)
 
  private:
-  GpuPerfSpec spec_;
+  GpuSpec spec_;
   double compute_eff_;
   double bw_eff_;
 };

@@ -25,8 +25,8 @@ CpuMachineModel cpu_model_for(Platform p) {
 
 GpuMachineModel gpu_model_for(Platform p) {
   PB_EXPECTS(is_gpu(p));
-  if (p == Platform::kCrusherGpu) return GpuMachineModel(GpuPerfSpec::mi250x_gcd());
-  return GpuMachineModel(GpuPerfSpec::a100());
+  if (p == Platform::kCrusherGpu) return GpuMachineModel(GpuSpec::mi250x_gcd());
+  return GpuMachineModel(GpuSpec::a100());
 }
 
 namespace {

@@ -35,7 +35,9 @@ struct Globals {
 /// PORTABENCH_CHECK_SEED from the environment.
 Globals& globals() noexcept;
 
-extern thread_local std::uint64_t tls_lane;
+// constinit: a constant-initialized thread_local needs no TLS wrapper
+// call on access (and UBSan sees no null wrapper in every LaneScope).
+extern constinit thread_local std::uint64_t tls_lane;
 
 }  // namespace detail
 

@@ -56,19 +56,45 @@ template <class T>
   }
 }
 
+/// Integer sums and products promise wraparound mod 2^w, which C++ only
+/// gives unsigned arithmetic at least as wide as `unsigned` (signed
+/// overflow is UB, and narrow types promote to signed int).  Compute
+/// there and convert back: the conversion is modular, so the bits equal
+/// the two's-complement wraparound.
+template <class T>
+using wrap_t = std::make_unsigned_t<std::common_type_t<T, unsigned>>;
+
+template <class T>
+[[nodiscard]] constexpr T add(const T& a, const T& b) {
+  if constexpr (std::is_integral_v<T>) {
+    return static_cast<T>(static_cast<wrap_t<T>>(a) + static_cast<wrap_t<T>>(b));
+  } else {
+    return a + b;
+  }
+}
+
+template <class T>
+[[nodiscard]] constexpr T mul(const T& a, const T& b) {
+  if constexpr (std::is_integral_v<T>) {
+    return static_cast<T>(static_cast<wrap_t<T>>(a) * static_cast<wrap_t<T>>(b));
+  } else {
+    return a * b;
+  }
+}
+
 }  // namespace detail
 
 template <class T>
 struct SumOp {
   static constexpr bool kExact = std::is_integral_v<T>;
-  [[nodiscard]] T operator()(const T& a, const T& b) const { return a + b; }
+  [[nodiscard]] T operator()(const T& a, const T& b) const { return detail::add(a, b); }
   [[nodiscard]] T identity() const { return T{}; }
 };
 
 template <class T>
 struct ProdOp {
   static constexpr bool kExact = std::is_integral_v<T>;
-  [[nodiscard]] T operator()(const T& a, const T& b) const { return a * b; }
+  [[nodiscard]] T operator()(const T& a, const T& b) const { return detail::mul(a, b); }
   [[nodiscard]] T identity() const { return T{1}; }
 };
 
@@ -156,7 +182,7 @@ template <class T>
 struct AffineComposeOp {
   static constexpr bool kExact = std::is_integral_v<T>;
   [[nodiscard]] Affine<T> operator()(const Affine<T>& a, const Affine<T>& b) const {
-    return {static_cast<T>(a.mul * b.mul), static_cast<T>(a.add * b.mul + b.add)};
+    return {detail::mul(a.mul, b.mul), detail::add(detail::mul(a.add, b.mul), b.add)};
   }
   [[nodiscard]] Affine<T> identity() const { return {}; }
 };

@@ -62,7 +62,7 @@ inline constexpr std::size_t kDefaultBatchJobs = 32;
 /// LaunchEngine::shared(), exactly the pre-multi-device serving engine.
 [[nodiscard]] inline gpusim::TopologyConfig serve_default_topology() {
   gpusim::TopologyConfig t;
-  t.device_spec = gpusim::GpuSpec::a100();
+  t.node.gpu = gpusim::GpuSpec::a100();
   t.pin_workers = false;
   return t;
 }

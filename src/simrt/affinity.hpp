@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/hardware.hpp"
 
 namespace portabench::simrt {
 
@@ -35,24 +36,9 @@ enum class BindPolicy {
   return "?";
 }
 
-/// Host CPU topology: `cores` physical cores split evenly over
-/// `numa_domains` domains (matching EPYC 7A53: 64 cores / 4 NUMA, and
-/// Ampere Altra: 80 cores / 1 NUMA).
-struct CpuTopology {
-  std::size_t cores = 1;
-  std::size_t numa_domains = 1;
-
-  [[nodiscard]] std::size_t cores_per_domain() const {
-    PB_EXPECTS(numa_domains > 0 && cores % numa_domains == 0);
-    return cores / numa_domains;
-  }
-
-  /// NUMA domain that owns a given core id.
-  [[nodiscard]] std::size_t domain_of(std::size_t core) const {
-    PB_EXPECTS(core < cores);
-    return core / cores_per_domain();
-  }
-};
+/// Host CPU topology (cores split evenly over NUMA domains); the
+/// hardware description's CPU records derive from it.
+using hw::CpuTopology;
 
 /// Placement of `num_threads` threads: thread i runs on placement[i]
 /// (a core id), or kUnpinned when the policy leaves it to the OS.

@@ -39,7 +39,7 @@ SpmvPrediction predict_spmv_cpu(const perfmodel::CpuSpec& cpu, std::size_t rows,
                  value_bytes, index_bytes, x_dram_fraction);
 }
 
-SpmvPrediction predict_spmv_gpu(const perfmodel::GpuPerfSpec& gpu, std::size_t rows,
+SpmvPrediction predict_spmv_gpu(const perfmodel::GpuSpec& gpu, std::size_t rows,
                                 std::size_t nnz, std::size_t value_bytes,
                                 std::size_t index_bytes, double x_dram_fraction) {
   return predict(gpu.peak_fp64_gflops, gpu.mem_bw_gbs, 0.70, rows, nnz, value_bytes,

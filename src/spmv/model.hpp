@@ -29,7 +29,7 @@ struct SpmvPrediction {
                                               std::size_t index_bytes = 8,
                                               double x_dram_fraction = 0.05);
 
-[[nodiscard]] SpmvPrediction predict_spmv_gpu(const perfmodel::GpuPerfSpec& gpu,
+[[nodiscard]] SpmvPrediction predict_spmv_gpu(const perfmodel::GpuSpec& gpu,
                                               std::size_t rows, std::size_t nnz,
                                               std::size_t value_bytes = 8,
                                               std::size_t index_bytes = 8,

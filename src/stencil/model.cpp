@@ -34,7 +34,7 @@ StencilPrediction predict_stencil_cpu(const perfmodel::CpuSpec& cpu, std::size_t
                  3.0 * 8.0);
 }
 
-StencilPrediction predict_stencil_gpu(const perfmodel::GpuPerfSpec& gpu, std::size_t rows,
+StencilPrediction predict_stencil_gpu(const perfmodel::GpuSpec& gpu, std::size_t rows,
                                       std::size_t cols, bool tiled) {
   // Naive: each input cell is loaded by up to 4 neighbouring threads;
   // L2 catches about half of that on a 2-D block.  Tiled: shared memory

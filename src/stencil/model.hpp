@@ -28,7 +28,7 @@ struct StencilPrediction {
 [[nodiscard]] StencilPrediction predict_stencil_cpu(const perfmodel::CpuSpec& cpu,
                                                     std::size_t rows, std::size_t cols);
 
-[[nodiscard]] StencilPrediction predict_stencil_gpu(const perfmodel::GpuPerfSpec& gpu,
+[[nodiscard]] StencilPrediction predict_stencil_gpu(const perfmodel::GpuSpec& gpu,
                                                     std::size_t rows, std::size_t cols,
                                                     bool tiled = false);
 

@@ -53,7 +53,7 @@ inline constexpr std::size_t kBlockModelN = 8192;
 
 [[nodiscard]] inline BlockModelStats modeled_block_stats(long block_edge) {
   const auto spec = gpusim::GpuSpec::a100();
-  const perfmodel::GpuMachineModel model(perfmodel::GpuPerfSpec::a100());
+  const perfmodel::GpuMachineModel model(spec);
   const std::size_t edge =
       std::max<std::size_t>(1, static_cast<std::size_t>(std::max<long>(1, block_edge)));
   const gpusim::Dim3 block{static_cast<unsigned>(edge), static_cast<unsigned>(edge), 1};

@@ -364,7 +364,7 @@ TEST(Topology, PinnedPlacementLandsInDeviceDomain) {
   for (std::size_t d = 0; d < 4; ++d) {
     const simrt::Placement& p = topo.engine(d).placement();
     ASSERT_TRUE(p.pinned());
-    const std::size_t cpd = cfg.host.cores_per_domain();
+    const std::size_t cpd = cfg.node.host.cores_per_domain();
     for (const std::size_t core : p.core_of_thread) {
       EXPECT_EQ(core / cpd, topo.numa_domain_of(d)) << "device " << d;
     }

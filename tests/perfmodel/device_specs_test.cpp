@@ -46,7 +46,7 @@ TEST(CpuSpecs, Fp16OnlyPaysOffWithNativeSupport) {
 }
 
 TEST(GpuSpecs, A100Peaks) {
-  const GpuPerfSpec s = GpuPerfSpec::a100();
+  const GpuSpec s = GpuSpec::a100();
   EXPECT_DOUBLE_EQ(s.peak_gflops(Precision::kDouble), 9700.0);
   EXPECT_DOUBLE_EQ(s.peak_gflops(Precision::kSingle), 19500.0);
   EXPECT_GT(s.peak_gflops(Precision::kHalfIn), s.peak_gflops(Precision::kSingle));
@@ -54,11 +54,11 @@ TEST(GpuSpecs, A100Peaks) {
 }
 
 TEST(GpuSpecs, Mi250xGcdPeaks) {
-  const GpuPerfSpec s = GpuPerfSpec::mi250x_gcd();
+  const GpuSpec s = GpuSpec::mi250x_gcd();
   EXPECT_DOUBLE_EQ(s.peak_gflops(Precision::kDouble), 23950.0);
   EXPECT_GT(s.peak_gflops(Precision::kSingle), s.peak_gflops(Precision::kDouble));
   EXPECT_EQ(s.warp_size, 64u);
-  EXPECT_GT(s.mem_bw_gbs, GpuPerfSpec::a100().mem_bw_gbs);  // HBM2e per GCD
+  EXPECT_GT(s.mem_bw_gbs, GpuSpec::a100().mem_bw_gbs);  // HBM2e per GCD
 }
 
 TEST(SpecTables, Table1HasSoftwareStackRows) {

@@ -8,25 +8,25 @@
 namespace portabench::perfmodel {
 namespace {
 
-TEST(LinkSpec, TransferTimeIsLatencyPlusBandwidth) {
-  LinkSpec link;
+TEST(Link, TransferTimeIsLatencyPlusBandwidth) {
+  Link link;
   link.bw_gbs = 10.0;
   link.latency_us = 100.0;
   // 10 GB at 10 GB/s = 1 s, plus 100 us latency.
-  EXPECT_NEAR(link.transfer_seconds(10.0e9), 1.0001, 1e-9);
+  EXPECT_NEAR(link.seconds(10.0e9), 1.0001, 1e-9);
   // Zero bytes still pays latency.
-  EXPECT_NEAR(link.transfer_seconds(0.0), 1.0e-4, 1e-12);
+  EXPECT_NEAR(link.seconds(0.0), 1.0e-4, 1e-12);
 }
 
-TEST(LinkSpec, FactoryParameters) {
-  EXPECT_GT(LinkSpec::infinity_fabric().bw_gbs, LinkSpec::pcie4_x16().bw_gbs);
-  EXPECT_TRUE(LinkSpec::pcie4_x16().duplex);
+TEST(Link, FactoryParameters) {
+  EXPECT_GT(Link::infinity_fabric().bw_gbs, Link::pcie4_x16().bw_gbs);
+  EXPECT_TRUE(Link::pcie4_x16().duplex);
 }
 
 class EndToEndTest : public ::testing::Test {
  protected:
-  GpuMachineModel model_{GpuPerfSpec::a100()};
-  LinkSpec link_ = LinkSpec::pcie4_x16();
+  GpuMachineModel model_{GpuSpec::a100()};
+  Link link_ = Link::pcie4_x16();
 };
 
 TEST_F(EndToEndTest, SerialIsSumOfStages) {
@@ -70,7 +70,7 @@ TEST_F(EndToEndTest, BatchedOverlapApproachesBottleneck) {
 }
 
 TEST_F(EndToEndTest, HalfDuplexSerializesTransfers) {
-  LinkSpec half = link_;
+  Link half = link_;
   half.duplex = false;
   const auto full = end_to_end_gemm(model_, link_, Precision::kDouble, 1024, 16);
   const auto halfd = end_to_end_gemm(model_, half, Precision::kDouble, 1024, 16);

@@ -106,8 +106,8 @@ TEST_F(CpuModelTest, InvalidArgsRejected) {
 
 class GpuModelTest : public ::testing::Test {
  protected:
-  GpuMachineModel a100_{GpuPerfSpec::a100()};
-  GpuMachineModel mi250x_{GpuPerfSpec::mi250x_gcd()};
+  GpuMachineModel a100_{GpuSpec::a100()};
+  GpuMachineModel mi250x_{GpuSpec::mi250x_gcd()};
 };
 
 TEST_F(GpuModelTest, TimesPositiveAndBelowPeak) {

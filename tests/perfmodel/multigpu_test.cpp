@@ -10,8 +10,8 @@ namespace {
 
 class MultiGpuTest : public ::testing::Test {
  protected:
-  GpuMachineModel model_{GpuPerfSpec::mi250x_gcd()};
-  LinkSpec link_ = LinkSpec::infinity_fabric();
+  GpuMachineModel model_{GpuSpec::mi250x_gcd()};
+  Link link_ = Link::infinity_fabric();
 };
 
 TEST_F(MultiGpuTest, OneDeviceIsBaseline) {
@@ -65,9 +65,9 @@ TEST_F(MultiGpuTest, HostBandwidthCapsContention) {
 
 TEST_F(MultiGpuTest, A100PairMatchesWombat) {
   // Wombat: 2 A100s.
-  GpuMachineModel a100(GpuPerfSpec::a100());
+  GpuMachineModel a100(GpuSpec::a100());
   const auto sweep =
-      strong_scaling_gemm(a100, LinkSpec::pcie4_x16(), Precision::kDouble, 16384, 2);
+      strong_scaling_gemm(a100, Link::pcie4_x16(), Precision::kDouble, 16384, 2);
   EXPECT_GT(sweep[1].speedup, 1.5);
 }
 
@@ -84,7 +84,7 @@ TEST_F(MultiGpuTest, ShardedPipelineScalesMonotonically) {
   ShardedGemmParams params;
   params.n = 16384;
   params.panel_rows = 1024;
-  const auto sweep = sharded_pipeline_gemm(model_, NodeShape::crusher(),
+  const auto sweep = sharded_pipeline_gemm(model_, NodeSpec::crusher(),
                                            Precision::kDouble, params, 8);
   ASSERT_EQ(sweep.size(), 8u);
   EXPECT_DOUBLE_EQ(sweep[0].speedup, 1.0);
@@ -108,9 +108,9 @@ TEST_F(MultiGpuTest, NumaAwareStagingBeatsDomainZeroStaging) {
   local.panel_rows = 256;
   ShardedGemmParams remote = local;
   remote.numa_aware_staging = false;
-  const auto aware = sharded_pipeline_gemm(model_, NodeShape::crusher(),
+  const auto aware = sharded_pipeline_gemm(model_, NodeSpec::crusher(),
                                            Precision::kDouble, local, 8);
-  const auto naive = sharded_pipeline_gemm(model_, NodeShape::crusher(),
+  const auto naive = sharded_pipeline_gemm(model_, NodeSpec::crusher(),
                                            Precision::kDouble, remote, 8);
   // One device always stages locally; with 8 devices on 4 domains, six
   // of the eight ride the remote link when everything stages from
@@ -120,9 +120,9 @@ TEST_F(MultiGpuTest, NumaAwareStagingBeatsDomainZeroStaging) {
   EXPECT_DOUBLE_EQ(aware[0].total_s, naive[0].total_s);  // g=1: domain 0 IS local
   EXPECT_GT(naive[7].total_s, aware[7].total_s);
   // Wombat's single domain makes staging placement a no-op.
-  const auto wa = sharded_pipeline_gemm(model_, NodeShape::wombat(),
+  const auto wa = sharded_pipeline_gemm(model_, NodeSpec::wombat(),
                                         Precision::kDouble, local, 2);
-  const auto wn = sharded_pipeline_gemm(model_, NodeShape::wombat(),
+  const auto wn = sharded_pipeline_gemm(model_, NodeSpec::wombat(),
                                         Precision::kDouble, remote, 2);
   EXPECT_DOUBLE_EQ(wa[1].total_s, wn[1].total_s);
 }
@@ -134,16 +134,16 @@ TEST_F(MultiGpuTest, OverlapNeverSlowerThanStrictOrder) {
   ShardedGemmParams strict = over;
   strict.overlap = false;
   for (std::size_t g : {1u, 2u, 4u, 8u}) {
-    const auto o = sharded_pipeline_gemm(model_, NodeShape::crusher(),
+    const auto o = sharded_pipeline_gemm(model_, NodeSpec::crusher(),
                                          Precision::kDouble, over, g);
-    const auto s = sharded_pipeline_gemm(model_, NodeShape::crusher(),
+    const auto s = sharded_pipeline_gemm(model_, NodeSpec::crusher(),
                                          Precision::kDouble, strict, g);
     EXPECT_LE(o.back().total_s, s.back().total_s + 1e-12) << g;
   }
   // With several panels in flight the pipeline must actually hide time.
-  const auto o = sharded_pipeline_gemm(model_, NodeShape::crusher(),
+  const auto o = sharded_pipeline_gemm(model_, NodeSpec::crusher(),
                                        Precision::kDouble, over, 2);
-  const auto s = sharded_pipeline_gemm(model_, NodeShape::crusher(),
+  const auto s = sharded_pipeline_gemm(model_, NodeSpec::crusher(),
                                        Precision::kDouble, strict, 2);
   EXPECT_LT(o[1].total_s, s[1].total_s);
 }
@@ -165,7 +165,7 @@ TEST_F(MultiGpuTest, ShardedPipelineRanksMatchStrongScalingShape) {
   ShardedGemmParams params;
   params.n = 16384;
   params.panel_rows = 1024;
-  const auto pipe = sharded_pipeline_gemm(model_, NodeShape::crusher(),
+  const auto pipe = sharded_pipeline_gemm(model_, NodeSpec::crusher(),
                                           Precision::kDouble, params, 8);
   const auto strong = strong_scaling_gemm(model_, link_, Precision::kDouble, 16384, 8);
   std::vector<double> a;

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "cache.hpp"
 #include "engine.hpp"
 
@@ -21,7 +23,12 @@ namespace {
 class CacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "portalint_cache_test";
+    // One directory per case and process: ctest -j runs the cases of
+    // this suite concurrently, and a shared directory would race.
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = fs::path(::testing::TempDir()) /
+           ("portalint_cache_test_" + std::string(info->name()) + "_" +
+            std::to_string(::getpid()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     cache_ = dir_ / "analysis.cache";
@@ -54,6 +61,8 @@ class CacheTest : public ::testing::Test {
     }
     return out;
   }
+
+  void TearDown() override { fs::remove_all(dir_); }
 
   fs::path dir_;
   fs::path cache_;

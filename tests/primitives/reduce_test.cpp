@@ -81,7 +81,11 @@ TEST(DeviceReduce, ExactOpsEqualPlainLeftFold) {
   gpusim::DeviceContext ctx(gpusim::GpuSpec::a100());
   const std::vector<std::int64_t> in = random_values<std::int64_t>(5000, 42);
   std::int64_t fold = 0;
-  for (const std::int64_t x : in) fold += x;
+  // Wrapping sum through uint64_t: signed overflow would be UB.
+  for (const std::int64_t x : in) {
+    fold = static_cast<std::int64_t>(static_cast<std::uint64_t>(fold) +
+                                     static_cast<std::uint64_t>(x));
+  }
   EXPECT_EQ(device_reduce(ctx, std::span<const std::int64_t>(in), SumOp<std::int64_t>{}),
             fold);
   std::int64_t mx = in[0];

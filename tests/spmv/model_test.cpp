@@ -22,7 +22,7 @@ TEST(SpmvModel, GpuBandwidthAdvantageCarriesOver) {
   const std::size_t rows = 1 << 20;
   const std::size_t nnz = 16 << 20;
   const auto cpu = predict_spmv_cpu(perfmodel::CpuSpec::epyc_7a53(), rows, nnz);
-  const auto gpu = predict_spmv_gpu(perfmodel::GpuPerfSpec::mi250x_gcd(), rows, nnz);
+  const auto gpu = predict_spmv_gpu(perfmodel::GpuSpec::mi250x_gcd(), rows, nnz);
   // HBM2e vs DDR4: roughly the bandwidth ratio (~8x), damped by the
   // lower GPU bandwidth efficiency on gathers.
   EXPECT_GT(gpu.gflops / cpu.gflops, 4.0);

@@ -193,9 +193,9 @@ TEST(StencilModel, AiBetweenSpmvAndGemm) {
 
 TEST(StencilModel, TilingPaysOnGpu) {
   const auto naive =
-      predict_stencil_gpu(perfmodel::GpuPerfSpec::a100(), 8192, 8192, /*tiled=*/false);
+      predict_stencil_gpu(perfmodel::GpuSpec::a100(), 8192, 8192, /*tiled=*/false);
   const auto tiled =
-      predict_stencil_gpu(perfmodel::GpuPerfSpec::a100(), 8192, 8192, /*tiled=*/true);
+      predict_stencil_gpu(perfmodel::GpuSpec::a100(), 8192, 8192, /*tiled=*/true);
   EXPECT_GT(tiled.gflops, naive.gflops);
   EXPECT_NEAR(tiled.gflops / naive.gflops, 1.6, 0.1);  // 3.2 -> 2.0 bytes/pt
 }
