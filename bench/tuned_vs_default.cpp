@@ -1,11 +1,11 @@
 // tuned_vs_default: prove the tuning cache helps and never hurts.
 //
 // For every tunable timed workload (tiled GEMM at each precision, simrt
-// dispatch, gpusim launch, serve batching) this bench resolves a tuned
-// config — from a warm cache (--cache / PORTABENCH_TUNE_CACHE) when one
-// matches this machine's fingerprint, else a bounded in-process search —
-// then measures default and tuned interleaved and enforces two
-// contracts:
+// dispatch, gpusim launch under the same dispatch knobs, serve batching)
+// this bench resolves a tuned config — from a warm cache (--cache /
+// PORTABENCH_TUNE_CACHE) when one matches this machine's fingerprint,
+// else a bounded in-process search — then measures default and tuned
+// interleaved and enforces two contracts:
 //
 //   never worse: if the tuned config fails to beat the default beyond
 //     the default's own noise floor, the bench REVERTS it to the default
@@ -33,7 +33,6 @@
 #include "gemm/kernels_tiled.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/engine.hpp"
-#include "gpusim/tunables.hpp"
 #include "primitives/scan.hpp"
 #include "primitives/serial.hpp"
 #include "primitives/sort.hpp"
@@ -128,11 +127,23 @@ bool gemm_bitwise_for(Precision p, const tune::Config& cfg) {
   return false;
 }
 
+/// A dispatch-space config as the runtime tunables it names.
+simrt::DispatchTunables dispatch_from(const tune::Config& cfg) {
+  const tune::SpaceDesc* space = tune::find_space("dispatch");
+  simrt::DispatchTunables t;
+  t.fork_cutoff =
+      static_cast<std::size_t>(std::max(0L, tune::config_value(*space, cfg, "fork_cutoff")));
+  t.chunks_per_thread = static_cast<std::size_t>(
+      std::max(1L, tune::config_value(*space, cfg, "chunks_per_thread")));
+  t.min_grain =
+      static_cast<std::size_t>(std::max(1L, tune::config_value(*space, cfg, "min_grain")));
+  return t;
+}
+
 /// parallel_for (disjoint writes) + sum-reduce under default vs tuned
 /// dispatch tunables must match bit for bit: the static reduce blocks
 /// depend only on the thread count, never on the fork/chunk knobs.
 bool dispatch_bitwise(const tune::Config& cfg) {
-  const tune::SpaceDesc* space = tune::find_space("dispatch");
   const std::size_t extent = 4097;  // straddles typical cutoff boundaries
   simrt::ThreadsSpace ts(std::max<std::size_t>(2, std::thread::hardware_concurrency()));
 
@@ -150,22 +161,16 @@ bool dispatch_bitwise(const tune::Config& cfg) {
   const simrt::DispatchTunables prev = simrt::dispatch_tunables();
   simrt::reset_dispatch_tunables();
   run(d_def, s_def);
-  simrt::DispatchTunables t;
-  t.fork_cutoff =
-      static_cast<std::size_t>(std::max(0L, tune::config_value(*space, cfg, "fork_cutoff")));
-  t.chunks_per_thread = static_cast<std::size_t>(
-      std::max(1L, tune::config_value(*space, cfg, "chunks_per_thread")));
-  t.min_grain =
-      static_cast<std::size_t>(std::max(1L, tune::config_value(*space, cfg, "min_grain")));
-  simrt::set_dispatch_tunables(t);
+  simrt::set_dispatch_tunables(dispatch_from(cfg));
   run(d_tuned, s_tuned);
   simrt::set_dispatch_tunables(prev);
   return std::memcmp(d_def.data(), d_tuned.data(), extent * sizeof(double)) == 0 &&
          std::memcmp(&s_def, &s_tuned, sizeof(double)) == 0;
 }
 
+/// Launches read the dispatch knobs too: the tuned dispatch config must
+/// leave per-block results bit-identical.
 bool launch_bitwise(const tune::Config& cfg) {
-  const tune::SpaceDesc* space = tune::find_space("launch");
   const std::size_t blocks = 257;
   const auto run = [&](std::vector<double>& sink) {
     gpusim::LaunchEngine::shared().run_blocks(
@@ -173,17 +178,12 @@ bool launch_bitwise(const tune::Config& cfg) {
         [&sink](std::size_t, std::size_t b) { sink[b] += static_cast<double>(b) * 0.5; });
   };
   std::vector<double> s_def(blocks, 1.0), s_tuned(blocks, 1.0);
-  const gpusim::LaunchTunables prev = gpusim::launch_tunables();
-  gpusim::reset_launch_tunables();
+  const simrt::DispatchTunables prev = simrt::dispatch_tunables();
+  simrt::reset_dispatch_tunables();
   run(s_def);
-  gpusim::LaunchTunables t;
-  t.fork_cutoff =
-      static_cast<std::size_t>(std::max(0L, tune::config_value(*space, cfg, "fork_cutoff")));
-  t.chunks_per_worker = static_cast<std::size_t>(
-      std::max(1L, tune::config_value(*space, cfg, "chunks_per_worker")));
-  gpusim::set_launch_tunables(t);
+  simrt::set_dispatch_tunables(dispatch_from(cfg));
   run(s_tuned);
-  gpusim::set_launch_tunables(prev);
+  simrt::set_dispatch_tunables(prev);
   return std::memcmp(s_def.data(), s_tuned.data(), blocks * sizeof(double)) == 0;
 }
 
@@ -303,8 +303,8 @@ bool bitwise_check(const Workload& w, const tune::Config& cfg) {
     }
     return false;
   }
+  if (w.name == "launch") return launch_bitwise(cfg);
   if (w.space == "dispatch") return dispatch_bitwise(cfg);
-  if (w.space == "launch") return launch_bitwise(cfg);
   if (w.space == "serve-batch") return serve_bitwise(cfg);
   if (w.space == "primitives-radix") return radix_bitwise(cfg);
   if (w.space == "primitives-scan") return scan_bitwise(cfg);
@@ -393,7 +393,7 @@ int run(const Options& opt) {
                          std::string(name(p)), sc, tune::gemm_tile_objective(p, n)});
   }
   workloads.push_back({"dispatch", "dispatch", "-", 0, tune::dispatch_objective()});
-  workloads.push_back({"launch", "launch", "-", 0, tune::launch_objective()});
+  workloads.push_back({"launch", "dispatch", "-", 0, tune::launch_objective()});
   workloads.push_back(
       {"serve_batch", "serve-batch", "-", 0, tune::serve_batch_objective(serve_jobs)});
   workloads.push_back({"prim_radix", "primitives-radix", "-", 0,

@@ -7,7 +7,10 @@
 // ThreadPool: launch() and launch_blocks() hand the engine a per-block
 // body, the engine deals contiguous block chunks to the pool workers
 // through one relaxed fetch_add counter, and sub-cutoff grids skip the
-// fork entirely (the same grain-based elision as ThreadPool::run_auto).
+// fork entirely.  Both scheduling choices read simrt's dispatch tunables
+// (simrt/tunables.hpp): fork_cutoff is the same "too small to fork" line
+// ThreadPool::run_auto uses, and chunks_per_thread sets how finely blocks
+// are dealt — one setting per decision for every fork onto a host team.
 //
 // The engine also owns the two pieces of per-launch state that used to be
 // reallocated on every launch:
@@ -38,21 +41,12 @@
 
 #include "common/buffer.hpp"
 #include "simrt/thread_pool.hpp"
-#include "tunables.hpp"
+#include "simrt/tunables.hpp"
 
 namespace portabench::gpusim {
 
 class LaunchEngine {
  public:
-  /// Total simulated threads (grid * block volume) below which a launch
-  /// runs serially inline on the caller: the fork-join rendezvous costs
-  /// microseconds, which is thousands of cheap lane iterations.  Matches
-  /// the simrt fork-elision cutoff so the two layers agree on what
-  /// "too small to fork" means.  Compile-time default only: run_blocks
-  /// compares against launch_tunables().fork_cutoff so the autotuner /
-  /// PORTABENCH_TUNE_LAUNCH_CUTOFF can retune it per machine.
-  static constexpr std::size_t kLaunchForkCutoff = simrt::ThreadPool::kForkCutoff;
-
   /// `threads == 0` resolves to PORTABENCH_GPUSIM_THREADS or, failing
   /// that, the host's hardware concurrency.  Workers are spawned lazily
   /// on the first launch that actually forks, so constructing an engine
@@ -87,7 +81,7 @@ class LaunchEngine {
 
   /// Run body(worker, block) for every block in [0, num_blocks).
   /// Forks across the pool when `total_threads` (the launch's simulated
-  /// thread count) reaches kLaunchForkCutoff and the caller is not
+  /// thread count) reaches the dispatch fork_cutoff and the caller is not
   /// already inside a region; otherwise runs serially on the caller with
   /// worker id kSerialWorker.  Blocks are dealt to workers in contiguous
   /// chunks via a shared counter, so guard-trimmed edge blocks
@@ -95,18 +89,18 @@ class LaunchEngine {
   template <class Body>
   void run_blocks(std::size_t num_blocks, std::size_t total_threads, Body&& body) {
     if (num_blocks == 0) return;
-    const LaunchTunables lt = launch_tunables();
-    if (total_threads < lt.fork_cutoff || num_workers_ <= 1 || in_region()) {
+    const simrt::DispatchTunables dt = simrt::dispatch_tunables();
+    if (total_threads < dt.fork_cutoff || num_workers_ <= 1 || in_region()) {
       for (std::size_t b = 0; b < num_blocks; ++b) body(kSerialWorker, b);
       return;
     }
     std::lock_guard<std::mutex> lock(launch_mutex_);
     simrt::ThreadPool& pool = ensure_pool();
     const std::size_t nt = pool.size();
-    // ~chunks_per_worker chunks per worker bounds the counter traffic
-    // (tunable; block dealing only — per-block results are unaffected).
-    const std::size_t chunk = std::max<std::size_t>(
-        1, num_blocks / (nt * std::max<std::size_t>(1, lt.chunks_per_worker)));
+    // ~chunks_per_thread chunks per worker bounds the counter traffic
+    // (block dealing only — per-block results are unaffected).  The
+    // setter clamps chunks_per_thread to >= 1.
+    const std::size_t chunk = std::max<std::size_t>(1, num_blocks / (nt * dt.chunks_per_thread));
     std::atomic<std::size_t> next{0};
     pool.run([&](std::size_t t) {
       const RegionScope scope;

@@ -304,13 +304,11 @@ void run_spmv_bucket(gpusim::LaunchEngine& engine,
 }  // namespace
 
 ServeEngine::Shard::Shard(const ServeConfig& cfg, gpusim::DeviceContext& shard_ctx,
-                          std::size_t shard_index, std::size_t shard_device)
+                          std::size_t shard_device)
     : queue(cfg.queue_capacity),
       ctx(&shard_ctx),
-      index(shard_index),
       device(shard_device),
-      stream(shard_ctx, cfg.async_streams ? gpusim::StreamMode::kAsync
-                                          : gpusim::StreamMode::kEager),
+      stream(shard_ctx, gpusim::StreamMode::kAsync),
       staging(std::make_unique<Staging>(cfg.batch_jobs)) {
   slots.reserve(cfg.batch_jobs);
   exec_idx.reserve(cfg.batch_jobs);
@@ -331,12 +329,18 @@ ServeEngine::ServeEngine(ServeConfig config) : config_(std::move(config)) {
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
     const std::size_t device = i % topo_->devices();
-    shards_.push_back(
-        std::make_unique<Shard>(config_, topo_->context(device), i, device));
+    shards_.push_back(std::make_unique<Shard>(config_, topo_->context(device), device));
   }
 }
 
-ServeEngine::~ServeEngine() { shutdown(); }
+ServeEngine::~ServeEngine() {
+  shutdown();
+  // Tear shards down last-built first, so the heap unwinds in the order
+  // it was wound.  Front-to-back teardown lets the top shard's queue
+  // ring merge into the heap top, glibc trims it, and the next engine
+  // page-faults its rings afresh.
+  while (!shards_.empty()) shards_.pop_back();
+}
 
 AdmitError ServeEngine::try_submit(const JobDesc& desc) {
   AdmitError err = AdmitError::kNone;
@@ -377,9 +381,10 @@ void ServeEngine::schedule_flush(Shard& shard) {
       }
     });
   } catch (const batch_error&) {
-    // Eager streams run the op inline, so there is no error stash: the
-    // batch error surfaces here and stops with us (already counted) —
-    // a submitter never sees its accept turned into a throw.
+    // Sanitized runs force the stream eager (gpusim/stream.hpp), which
+    // runs the op inline with no error stash: the batch error surfaces
+    // here and stops with us (already counted) — a submitter never sees
+    // its accept turned into a throw.
   }
 }
 
@@ -390,23 +395,6 @@ ServeEngine::FlushOutcome ServeEngine::flush_shard(Shard& shard, std::size_t max
   JobDesc d;
   while (slots.size() < max_jobs && shard.queue.try_pop(d)) {
     slots.push_back(JobSlot{d, nullptr, false});
-  }
-  if (config_.work_steal && slots.size() < max_jobs && shards_.size() > 1) {
-    // Top the batch up from the other shards' queues when this shard's
-    // bucket mix ran dry.  The victim order is pinned — self+1, self+2,
-    // ... mod shards — so a replayed trace steals identically; the MPMC
-    // pop side makes concurrent steals against a victim's own flush
-    // safe.  A stolen job still runs bucket-sorted with bitwise
-    // run_serial results; only its executing shard moved.
-    std::uint64_t grabbed = 0;
-    for (std::size_t off = 1; off < shards_.size() && slots.size() < max_jobs; ++off) {
-      Shard& victim = *shards_[(shard.index + off) % shards_.size()];
-      while (slots.size() < max_jobs && victim.queue.try_pop(d)) {
-        slots.push_back(JobSlot{d, nullptr, false});
-        ++grabbed;
-      }
-    }
-    if (grabbed != 0) stolen_.fetch_add(grabbed, std::memory_order_relaxed);
   }
   FlushOutcome out;
   out.popped = slots.size();
@@ -635,7 +623,6 @@ ServeStats ServeEngine::stats() const {
   st.failed = failed_.load(std::memory_order_relaxed);
   st.batches = batches_.load(std::memory_order_relaxed);
   st.batch_errors = batch_errors_.load(std::memory_order_relaxed);
-  st.stolen = stolen_.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < st.rejected_by.size(); ++i) {
     st.rejected_by[i] = rejected_by_[i].load(std::memory_order_relaxed);
     st.rejected_total += st.rejected_by[i];

@@ -75,7 +75,6 @@ struct ServeConfig {
   /// machine if present, else kDefaultBatchJobs.
   std::size_t batch_jobs = 0;
   std::uint32_t max_n = 256;          ///< admission bound on problem size
-  bool async_streams = true;          ///< flush on stream workers (kAsync)
   /// Completion sink; called on the flushing thread, jobs of a batch
   /// delivered in deterministic (bucket, id) order.  Must be thread-safe
   /// across shards.  May be empty.
@@ -88,13 +87,6 @@ struct ServeConfig {
   /// The default is the degenerate single-device topology (today's
   /// single-engine behavior, bit for bit).
   gpusim::TopologyConfig topology = serve_default_topology();
-  /// Cross-shard work stealing: a flushing shard whose own queue drains
-  /// below batch_jobs tops its batch up from the other shards' queues,
-  /// in pinned victim order (self+1, self+2, ... mod shards).  Results
-  /// stay bitwise-identical to run_serial — a job is a pure function of
-  /// its JobDesc and every batch is bucket-sorted before running — so
-  /// stealing only moves *where* a job runs, never what it computes.
-  bool work_steal = false;
 };
 
 struct ServeStats {
@@ -103,7 +95,6 @@ struct ServeStats {
   std::uint64_t failed = 0;
   std::uint64_t batches = 0;       ///< flushes that processed >= 1 job
   std::uint64_t batch_errors = 0;  ///< batches that threw batch_error
-  std::uint64_t stolen = 0;        ///< jobs flushed by a non-home shard
   std::uint64_t rejected_total = 0;
   /// Sheds/rejects by reason, indexed by AdmitError (kNone slot unused).
   std::array<std::uint64_t, 6> rejected_by{};
@@ -157,13 +148,11 @@ class ServeEngine {
   };
 
   struct alignas(kCacheLineBytes) Shard {
-    Shard(const ServeConfig& cfg, gpusim::DeviceContext& ctx, std::size_t index,
-          std::size_t device);
+    Shard(const ServeConfig& cfg, gpusim::DeviceContext& ctx, std::size_t device);
     ~Shard();
 
     simrt::BoundedMpscQueue<JobDesc> queue;
     gpusim::DeviceContext* ctx;  ///< the device this shard runs on
-    std::size_t index;           ///< shard's own slot (steal-order anchor)
     std::size_t device;          ///< topology device index of `ctx`
     gpusim::Stream stream;
     ShardMutex submit_mutex;  ///< guards stream.enqueue (not thread-safe)
@@ -205,7 +194,6 @@ class ServeEngine {
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> batch_errors_{0};
-  std::atomic<std::uint64_t> stolen_{0};
   std::array<std::atomic<std::uint64_t>, 6> rejected_by_{};
 };
 

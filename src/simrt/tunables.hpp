@@ -8,10 +8,11 @@
 // that the autotuner (src/tune, docs/TUNING.md) or the environment can
 // override:
 //
-//   PORTABENCH_TUNE_FORK_CUTOFF   work items below which a region runs
-//                                 inline instead of forking
+//   PORTABENCH_TUNE_FORK_CUTOFF   work items (simrt iterations, gpusim
+//                                 simulated threads) below which a region
+//                                 or launch runs inline instead of forking
 //   PORTABENCH_TUNE_CHUNK         target chunks per thread for dynamic
-//                                 schedules
+//                                 schedules and gpusim block dealing
 //   PORTABENCH_TUNE_MIN_GRAIN     minimum iterations per dynamic chunk
 //
 // Environment overrides are applied once, on first access; explicit
@@ -67,7 +68,7 @@ using EnvLookup = std::function<const char*(const char*)>;
                                                   const EnvLookup& lookup);
 
 /// Parse a non-negative size from env text; false (and *out untouched) on
-/// empty/garbage/negative input.  Shared by the gpusim launch tunables.
+/// empty/garbage/negative input.
 [[nodiscard]] bool parse_tunable_size(const char* text, std::size_t* out) noexcept;
 
 }  // namespace portabench::simrt

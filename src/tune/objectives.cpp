@@ -10,7 +10,6 @@
 #include "gemm/kernels_tiled.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/engine.hpp"
-#include "gpusim/tunables.hpp"
 #include "primitives/reduce.hpp"
 #include "primitives/scan.hpp"
 #include "primitives/sort.hpp"
@@ -133,11 +132,11 @@ Objective launch_objective(std::size_t blocks, std::size_t block_threads) {
   };
   auto st = std::make_shared<State>(blocks);
   return [st, blocks, block_threads](const Config& cfg) -> double {
-    const gpusim::LaunchTunables prev = gpusim::launch_tunables();
-    gpusim::LaunchTunables t = prev;
+    const simrt::DispatchTunables prev = simrt::dispatch_tunables();
+    simrt::DispatchTunables t = prev;
     t.fork_cutoff = knob(cfg, "fork_cutoff", prev.fork_cutoff);
-    t.chunks_per_worker = knob(cfg, "chunks_per_worker", prev.chunks_per_worker);
-    gpusim::set_launch_tunables(t);
+    t.chunks_per_thread = knob(cfg, "chunks_per_thread", prev.chunks_per_thread);
+    simrt::set_dispatch_tunables(t);
 
     gpusim::LaunchEngine& engine = gpusim::LaunchEngine::shared();
     double* const sink = st->sink.data();
@@ -148,7 +147,7 @@ Objective launch_objective(std::size_t blocks, std::size_t block_threads) {
                         [sink](std::size_t, std::size_t b) { sink[b] += 1.0; });
     }
     const double ms = timer.seconds() * 1e3;
-    gpusim::set_launch_tunables(prev);
+    simrt::set_dispatch_tunables(prev);
     return ms;
   };
 }

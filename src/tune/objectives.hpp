@@ -32,7 +32,8 @@ namespace portabench::tune {
 [[nodiscard]] Objective dispatch_objective(std::size_t extent = 8192);
 
 /// gpusim launch objective: `blocks` trivial blocks of `block_threads`
-/// simulated threads; candidates name "fork_cutoff"/"chunks_per_worker".
+/// simulated threads, run under the dispatch-space candidate's
+/// "fork_cutoff"/"chunks_per_thread" (the knobs LaunchEngine reads).
 [[nodiscard]] Objective launch_objective(std::size_t blocks = 512,
                                          std::size_t block_threads = 64);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "gemm/kernels_tiled.hpp"
-#include "gpusim/tunables.hpp"
 #include "primitives/tunables.hpp"
 #include "simrt/simd.hpp"
 #include "simrt/tunables.hpp"
@@ -109,7 +108,7 @@ std::vector<SpaceDesc> build_registry() {
   {
     SpaceDesc s;
     s.name = "dispatch";
-    s.what = "simrt fork-elision grain and dynamic-chunk heuristic";
+    s.what = "host fork-elision grain and chunking (simrt regions, gpusim launches)";
     s.params.push_back({"fork_cutoff",
                         {256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 262144},
                         static_cast<long>(simrt::kDefaultForkCutoff),
@@ -125,23 +124,6 @@ std::vector<SpaceDesc> build_registry() {
                         static_cast<long>(simrt::kDefaultMinGrain),
                         false,
                         "minimum iterations per dynamic chunk"});
-    spaces.push_back(std::move(s));
-  }
-
-  {
-    SpaceDesc s;
-    s.name = "launch";
-    s.what = "gpusim block-engine fork cutoff and block dealing";
-    s.params.push_back({"fork_cutoff",
-                        {256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 262144},
-                        static_cast<long>(simrt::kDefaultForkCutoff),
-                        false,
-                        "simulated threads below which a launch walks serially"});
-    s.params.push_back({"chunks_per_worker",
-                        {2, 4, 8, 16, 32},
-                        static_cast<long>(gpusim::kDefaultLaunchChunksPerWorker),
-                        false,
-                        "target block chunks per pool worker"});
     spaces.push_back(std::move(s));
   }
 

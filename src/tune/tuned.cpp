@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "fingerprint.hpp"
-#include "gpusim/tunables.hpp"
 #include "simrt/tunables.hpp"
 
 namespace portabench::tune {
@@ -237,19 +236,6 @@ void Tuned::apply_process_tunables() noexcept {
                               t.chunks_per_thread);
     t.min_grain = get("min_grain", "PORTABENCH_TUNE_MIN_GRAIN", t.min_grain);
     simrt::set_dispatch_tunables(t);
-  }
-  if (const CacheEntry* e = cache_.find("launch", "-", 0, fingerprint_)) {
-    gpusim::LaunchTunables t = gpusim::launch_tunables();
-    const auto get = [&](const char* knob, const char* env, std::size_t current) {
-      if (env_set(env)) return current;
-      const auto it = e->config.find(knob);
-      return it == e->config.end() ? current
-                                   : as_size_knob(it->second, current, 0);
-    };
-    t.fork_cutoff = get("fork_cutoff", "PORTABENCH_TUNE_LAUNCH_CUTOFF", t.fork_cutoff);
-    t.chunks_per_worker = get("chunks_per_worker", "PORTABENCH_TUNE_LAUNCH_CHUNKS",
-                              t.chunks_per_worker);
-    gpusim::set_launch_tunables(t);
   }
 }
 

@@ -15,10 +15,10 @@
 //   PORTABENCH_TUNE_CACHE    path of the persisted cache to consult
 //   PORTABENCH_TUNE_DISABLE  "1" = ignore the cache, run pure defaults
 //
-// Process-wide scheduling knobs (simrt dispatch + gpusim launch) are not
-// per-call lookups; apply_process_tunables() pushes cached winners into
-// simrt/gpusim tunables once, with explicit PORTABENCH_TUNE_* env
-// overrides keeping precedence over the cache.
+// The process-wide scheduling knobs (simrt dispatch, which gpusim
+// launches read too) are not per-call lookups; apply_process_tunables()
+// pushes the cached winner into the simrt tunables once, with explicit
+// PORTABENCH_TUNE_* env overrides keeping precedence over the cache.
 #pragma once
 
 #include <atomic>
@@ -82,9 +82,11 @@ class Tuned {
   [[nodiscard]] primitives::ReduceConfig reduce_config(
       primitives::ReduceConfig fallback = {}) noexcept;
 
-  /// Push cached "dispatch" / "launch" winners into the simrt and gpusim
-  /// runtime tunables.  Explicit PORTABENCH_TUNE_* environment variables
-  /// win over the cache (a set variable blocks the cache for that knob).
+  /// Push the cached "dispatch" winner into the simrt runtime tunables
+  /// (simrt regions and gpusim launches).  Explicit PORTABENCH_TUNE_*
+  /// environment variables win over the cache (a set variable blocks the
+  /// cache for that knob).  Entries for spaces the registry no longer
+  /// has are ignored.
   void apply_process_tunables() noexcept;
 
   // -- diagnostics / test hooks --------------------------------------

@@ -1,10 +1,13 @@
 // Tests for the block-parallel launch engine: parallel-vs-serial result
-// equality, pooled shared-memory arenas, nested-launch degradation, and
-// the memoized launch-configuration cache.
+// equality, pooled shared-memory arenas, nested-launch degradation, the
+// memoized launch-configuration cache, and the simrt dispatch tunables
+// deciding serial vs forked launches.
 #include "gpusim/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -13,6 +16,7 @@
 #include "gpusim/device.hpp"
 #include "gpusim/launch.hpp"
 #include "portacheck/hooks.hpp"
+#include "simrt/tunables.hpp"
 
 namespace portabench::gpusim {
 namespace {
@@ -223,6 +227,67 @@ TEST_F(LaunchEngineTest, SharedEngineIsDefaultWithoutInstall) {
   DeviceContext plain(GpuSpec::a100());
   EXPECT_EQ(&plain.engine(), &LaunchEngine::shared());
   EXPECT_EQ(&ctx_.engine(), engine_.get());
+}
+
+/// Launches read simrt's dispatch tunables: fork_cutoff alone decides
+/// serial vs forked.  Each test restores the tunables it found.
+class LaunchEngineDispatchTest : public ::testing::Test {
+ protected:
+  struct Run {
+    std::vector<std::size_t> workers;  // worker id each block ran on
+    std::vector<double> out;
+  };
+
+  void SetUp() override { saved_ = simrt::dispatch_tunables(); }
+  void TearDown() override { simrt::set_dispatch_tunables(saved_); }
+
+  /// run_blocks over `blocks` blocks of `block_threads` simulated threads
+  /// on a private 2-worker engine under fork_cutoff = `cutoff`.
+  static Run run(std::size_t cutoff, std::size_t blocks, std::size_t block_threads) {
+    simrt::set_dispatch_tunables({.fork_cutoff = cutoff});
+    LaunchEngine engine(2);
+    Run r{std::vector<std::size_t>(blocks, 0), std::vector<double>(blocks, 0.0)};
+    engine.run_blocks(blocks, blocks * block_threads, [&](std::size_t worker, std::size_t b) {
+      r.workers[b] = worker;
+      double acc = 0.0;
+      for (std::size_t t = 0; t < block_threads; ++t) {
+        acc += 1.0 / static_cast<double>(1 + b * block_threads + t);
+      }
+      r.out[b] = acc;
+    });
+    return r;
+  }
+
+  static void expect_same_bits(const Run& a, const Run& b) {
+    ASSERT_EQ(a.out.size(), b.out.size());
+    EXPECT_EQ(std::memcmp(a.out.data(), b.out.data(), a.out.size() * sizeof(double)), 0);
+  }
+
+ private:
+  simrt::DispatchTunables saved_;
+};
+
+TEST_F(LaunchEngineDispatchTest, ZeroForkCutoffForksATinyLaunch) {
+  // 4 blocks x 4 threads = 16 simulated threads: far below the default
+  // cutoff, but fork_cutoff = 0 means "always fork".
+  const Run forked = run(0, 4, 4);
+  for (const std::size_t w : forked.workers) {
+    EXPECT_NE(w, LaunchEngine::kSerialWorker);
+    EXPECT_LT(w, 2u);
+  }
+  const Run serial = run(SIZE_MAX, 4, 4);
+  for (const std::size_t w : serial.workers) EXPECT_EQ(w, LaunchEngine::kSerialWorker);
+  expect_same_bits(forked, serial);
+}
+
+TEST_F(LaunchEngineDispatchTest, MaxForkCutoffRunsALargeLaunchSerially) {
+  // 256 blocks x 256 threads = 65536 simulated threads: well above the
+  // default cutoff, but no launch reaches fork_cutoff = SIZE_MAX.
+  const Run serial = run(SIZE_MAX, 256, 256);
+  for (const std::size_t w : serial.workers) EXPECT_EQ(w, LaunchEngine::kSerialWorker);
+  const Run forked = run(0, 256, 256);
+  for (const std::size_t w : forked.workers) EXPECT_NE(w, LaunchEngine::kSerialWorker);
+  expect_same_bits(serial, forked);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Runtime dispatch/launch tunables: env parsing round-trips through an
+// Runtime dispatch tunables: env parsing round-trips through an
 // injected lookup (no real-environment mutation), setters clamp and
 // round-trip, reset restores defaults — and the load-bearing contract,
 // pinned bitwise: every tunable setting changes ONLY scheduling, so
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "gpusim/tunables.hpp"
 #include "simrt/parallel.hpp"
 #include "simrt/tunables.hpp"
 
@@ -76,20 +75,6 @@ TEST(DispatchEnv, UnsetAndGarbageKeepBaseValues) {
   EXPECT_EQ(garbage.min_grain, 8u);         // the one valid var applies
 }
 
-TEST(LaunchEnv, RoundTripThroughInjectedLookup) {
-  const gpusim::LaunchTunables t = gpusim::parse_launch_env(
-      gpusim::LaunchTunables{},
-      fake_env({{"PORTABENCH_TUNE_LAUNCH_CUTOFF", "512"},
-                {"PORTABENCH_TUNE_LAUNCH_CHUNKS", "4"}}));
-  EXPECT_EQ(t.fork_cutoff, 512u);
-  EXPECT_EQ(t.chunks_per_worker, 4u);
-
-  const gpusim::LaunchTunables kept =
-      gpusim::parse_launch_env(gpusim::LaunchTunables{}, fake_env({}));
-  EXPECT_EQ(kept.fork_cutoff, simrt::kDefaultForkCutoff);
-  EXPECT_EQ(kept.chunks_per_worker, gpusim::kDefaultLaunchChunksPerWorker);
-}
-
 /// Setter tests mutate process-global knobs; restore defaults afterwards
 /// (the real PORTABENCH_TUNE_* vars are cleared first so "reset" means
 /// "back to compile-time defaults" in this process).
@@ -97,16 +82,11 @@ class TunablesRoundTrip : public ::testing::Test {
  protected:
   void SetUp() override {
     for (const char* var :
-         {"PORTABENCH_TUNE_FORK_CUTOFF", "PORTABENCH_TUNE_CHUNK",
-          "PORTABENCH_TUNE_MIN_GRAIN", "PORTABENCH_TUNE_LAUNCH_CUTOFF",
-          "PORTABENCH_TUNE_LAUNCH_CHUNKS"}) {
+         {"PORTABENCH_TUNE_FORK_CUTOFF", "PORTABENCH_TUNE_CHUNK", "PORTABENCH_TUNE_MIN_GRAIN"}) {
       ::unsetenv(var);
     }
   }
-  void TearDown() override {
-    reset_dispatch_tunables();
-    gpusim::reset_launch_tunables();
-  }
+  void TearDown() override { reset_dispatch_tunables(); }
 };
 
 TEST_F(TunablesRoundTrip, DispatchSetterRoundTripsAndClamps) {
@@ -126,21 +106,6 @@ TEST_F(TunablesRoundTrip, DispatchSetterRoundTripsAndClamps) {
   EXPECT_EQ(def.fork_cutoff, kDefaultForkCutoff);
   EXPECT_EQ(def.chunks_per_thread, kDefaultChunksPerThread);
   EXPECT_EQ(def.min_grain, kDefaultMinGrain);
-}
-
-TEST_F(TunablesRoundTrip, LaunchSetterRoundTripsAndClamps) {
-  gpusim::LaunchTunables t;
-  t.fork_cutoff = 7;
-  t.chunks_per_worker = 0;  // clamped to 1
-  gpusim::set_launch_tunables(t);
-  const gpusim::LaunchTunables got = gpusim::launch_tunables();
-  EXPECT_EQ(got.fork_cutoff, 7u);
-  EXPECT_EQ(got.chunks_per_worker, 1u);
-
-  gpusim::reset_launch_tunables();
-  const gpusim::LaunchTunables def = gpusim::launch_tunables();
-  EXPECT_EQ(def.fork_cutoff, simrt::kDefaultForkCutoff);
-  EXPECT_EQ(def.chunks_per_worker, gpusim::kDefaultLaunchChunksPerWorker);
 }
 
 // --- the bitwise contract --------------------------------------------------

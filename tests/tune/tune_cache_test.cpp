@@ -2,8 +2,9 @@
 // defensive loads (corrupt/truncated/mismatched caches degrade to empty
 // with a typed status, never abort), fingerprint keying (another
 // machine's winner is ignored), clean concurrent first-use resolution,
-// and the warm-path no-new-allocation guarantee (slot_fills stops
-// moving once every bucket is resolved).
+// the warm-path no-new-allocation guarantee (slot_fills stops moving
+// once every bucket is resolved), and caches written by older builds
+// (entries for retired spaces load but change nothing).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,8 +15,10 @@
 #include <thread>
 #include <vector>
 
+#include "simrt/tunables.hpp"
 #include "tune/cache.hpp"
 #include "tune/fingerprint.hpp"
+#include "tune/params.hpp"
 #include "tune/tuned.hpp"
 
 namespace {
@@ -349,6 +352,68 @@ TEST_F(TunedResolver, PerGcdSpaceFallsBackToSingleDeviceWinner) {
   const gemm::TileConfig& dev = tuned.gemm_tile_device(3, Precision::kDouble, 7);
   EXPECT_EQ(dev.mc, 128u);  // inherits the single-device winner
   EXPECT_EQ(dev.tier, 1);
+  std::remove(path.c_str());
+}
+
+// --- caches written by older builds ------------------------------------
+
+/// A cache for this machine holding one "dispatch" entry and one entry
+/// for the retired "launch" space (gpusim launches now read the dispatch
+/// knobs; older builds tuned them separately).
+void write_stale_launch_cache(const std::string& path) {
+  const std::uint64_t local = fingerprint_hash(local_fingerprint());
+  TuningCache cache;
+  CacheEntry dispatch;
+  dispatch.space = "dispatch";
+  dispatch.fingerprint = local;
+  dispatch.machine = "here";
+  dispatch.config = {{"fork_cutoff", 1024}, {"chunks_per_thread", 16}, {"min_grain", 4}};
+  cache.put(dispatch);
+  CacheEntry launch;
+  launch.space = "launch";
+  launch.fingerprint = local;
+  launch.machine = "here";
+  launch.config = {{"fork_cutoff", 7}, {"chunks_per_worker", 2}};
+  cache.put(launch);
+  ASSERT_TRUE(cache.save(path));
+}
+
+TEST_F(TunedResolver, StaleLaunchEntryChangesNothing) {
+  ASSERT_EQ(find_space("launch"), nullptr);
+  const std::string path = temp_path("tuned_stale_space.json");
+  write_stale_launch_cache(path);
+  for (const char* var :
+       {"PORTABENCH_TUNE_FORK_CUTOFF", "PORTABENCH_TUNE_CHUNK", "PORTABENCH_TUNE_MIN_GRAIN"}) {
+    ::unsetenv(var);
+  }
+  const simrt::DispatchTunables saved = simrt::dispatch_tunables();
+
+  Tuned& tuned = Tuned::instance();
+  tuned.reset_for_testing(path);
+  EXPECT_EQ(tuned.load_status(), CacheLoadStatus::kOk);
+  tuned.apply_process_tunables();
+  const simrt::DispatchTunables got = simrt::dispatch_tunables();
+  simrt::set_dispatch_tunables(saved);
+  // Exactly the dispatch entry: the launch entry's fork_cutoff=7 is
+  // nowhere, and nothing reads its chunks_per_worker.
+  EXPECT_EQ(got.fork_cutoff, 1024u);
+  EXPECT_EQ(got.chunks_per_thread, 16u);
+  EXPECT_EQ(got.min_grain, 4u);
+  std::remove(path.c_str());
+}
+
+TEST(PortatuneShow, SkipsEntriesForRetiredSpaces) {
+  const std::string path = temp_path("portatune_show_stale.json");
+  write_stale_launch_cache(path);
+  const std::string cmd = std::string(PORTATUNE_BIN) + " show --cache " + path;
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+  EXPECT_EQ(::pclose(pipe), 0) << out;
+  EXPECT_NE(out.find("\n  dispatch "), std::string::npos) << out;
+  EXPECT_EQ(out.find("\n  launch "), std::string::npos) << out;
   std::remove(path.c_str());
 }
 

@@ -156,7 +156,7 @@ TEST(Search, MeasureReportsMedianAndSpread) {
 
 TEST(Registry, DispatchFacingSpacesExistWithValidDefaults) {
   for (const char* name :
-       {"gemm-tile", "dispatch", "launch", "serve-batch", "gpu-unroll", "gpu-block"}) {
+       {"gemm-tile", "dispatch", "serve-batch", "gpu-unroll", "gpu-block"}) {
     const SpaceDesc* s = find_space(name);
     ASSERT_NE(s, nullptr) << name;
     EXPECT_FALSE(s->params.empty()) << name;
@@ -169,6 +169,8 @@ TEST(Registry, DispatchFacingSpacesExistWithValidDefaults) {
     }
   }
   EXPECT_EQ(find_space("no-such-space"), nullptr);
+  // gpusim launches read the dispatch space's knobs; no launch space.
+  EXPECT_EQ(find_space("launch"), nullptr);
 }
 
 TEST(Registry, GemmKcIsFrozenOrderAffecting) {

@@ -7,7 +7,8 @@
 // `tune` searches each requested registry space with the same harness
 // the benches use (default measured first, IQR noise floor, hill-climb
 // on large spaces) and merges the winners into the cache keyed by this
-// machine's fingerprint.  `show` prints the cache against the registry.
+// machine's fingerprint.  `show` prints the cache against the registry,
+// skipping entries for spaces the registry no longer has.
 // `verify` re-measures every local-fingerprint entry against the space
 // default and fails if a cached winner has gone stale (slower than the
 // default beyond the re-measured noise floor).
@@ -56,7 +57,6 @@ std::vector<Workload> all_workloads(std::size_t n) {
                    gemm_tile_objective(p, n), false});
   }
   out.push_back({"dispatch", "-", 0, dispatch_objective(), false});
-  out.push_back({"launch", "-", 0, launch_objective(), false});
   out.push_back({"serve-batch", "-", 0, serve_batch_objective(), false});
   out.push_back({"primitives-radix", "-", 0, primitives_radix_objective(), false});
   out.push_back({"primitives-scan", "-", 0, primitives_scan_objective(), false});
@@ -190,6 +190,7 @@ int cmd_show(const CliParser& cli) {
               cache.size(), kCacheSchemaVersion,
               static_cast<unsigned long long>(local));
   for (const CacheEntry& e : cache.entries()) {
+    if (find_space(e.space) == nullptr) continue;  // written by an older build
     std::printf("  %-11s %-5s sc=%-2u %s 0x%016llx  %-40s %8.3f ms (default %8.3f)\n",
                 e.space.c_str(), e.precision.c_str(), e.size_class,
                 e.fingerprint == local ? "*" : " ",
