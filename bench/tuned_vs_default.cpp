@@ -1,11 +1,13 @@
 // tuned_vs_default: prove the tuning cache helps and never hurts.
 //
-// For every tunable timed workload (tiled GEMM at each precision, simrt
-// dispatch, gpusim launch under the same dispatch knobs, serve batching)
-// this bench resolves a tuned config — from a warm cache (--cache /
-// PORTABENCH_TUNE_CACHE) when one matches this machine's fingerprint,
-// else a bounded in-process search — then measures default and tuned
-// interleaved and enforces two contracts:
+// For every timed space whose winner a production path applies (tiled
+// GEMM at each precision via Tuned::gemm_tile, simrt dispatch and gpusim
+// launch under the same dispatch knobs via apply_process_tunables, serve
+// batching via serve_batch_jobs: six rows) this bench resolves a tuned
+// config — from a warm cache (--cache / PORTABENCH_TUNE_CACHE) when one
+// matches this machine's fingerprint, else a bounded in-process search —
+// then measures default and tuned interleaved and enforces two
+// contracts:
 //
 //   never worse: if the tuned config fails to beat the default beyond
 //     the default's own noise floor, the bench REVERTS it to the default
@@ -31,11 +33,7 @@
 #include "common/precision.hpp"
 #include "common/rng.hpp"
 #include "gemm/kernels_tiled.hpp"
-#include "gpusim/device.hpp"
 #include "gpusim/engine.hpp"
-#include "primitives/scan.hpp"
-#include "primitives/serial.hpp"
-#include "primitives/sort.hpp"
 #include "serve/engine.hpp"
 #include "serve/serial.hpp"
 #include "simrt/mdarray.hpp"
@@ -46,6 +44,7 @@
 #include "tune/objectives.hpp"
 #include "tune/params.hpp"
 #include "tune/search.hpp"
+#include "tune/tuned.hpp"
 
 namespace {
 
@@ -114,11 +113,7 @@ bool gemm_bitwise_check(const gemm::TileConfig& tuned) {
 }
 
 bool gemm_bitwise_for(Precision p, const tune::Config& cfg) {
-  gemm::TileConfig tc;
-  const tune::SpaceDesc* space = tune::find_space("gemm-tile");
-  tc.mc = static_cast<std::size_t>(std::max(1L, tune::config_value(*space, cfg, "mc")));
-  tc.kc = static_cast<std::size_t>(std::max(1L, tune::config_value(*space, cfg, "kc")));
-  tc.tier = static_cast<int>(tune::config_value(*space, cfg, "tier"));
+  const gemm::TileConfig tc = tune::tile_config_of(cfg);  // what dispatch runs
   switch (p) {
     case Precision::kDouble: return gemm_bitwise_check<double, double>(tc);
     case Precision::kSingle: return gemm_bitwise_check<float, float>(tc);
@@ -233,69 +228,6 @@ bool serve_bitwise(const tune::Config& cfg) {
   return true;
 }
 
-/// Sorted (key, value) output under the tuned radix schedule must equal
-/// std::stable_sort over the key bijection — every knob (digit width,
-/// tile, lanes) is pure schedule.
-bool radix_bitwise(const tune::Config& cfg) {
-  const tune::SpaceDesc* space = tune::find_space("primitives-radix");
-  primitives::SortConfig sc;
-  sc.radix_bits = static_cast<unsigned>(
-      std::clamp(tune::config_value(*space, cfg, "radix_bits"), 1L, 8L));
-  sc.chunk = static_cast<std::size_t>(
-      std::max(1L, tune::config_value(*space, cfg, "chunk")));
-  sc.lanes = static_cast<std::size_t>(
-      std::max(1L, tune::config_value(*space, cfg, "lanes")));
-
-  constexpr std::size_t n = 4099;  // prime: ragged tiles and lane slices
-  std::vector<std::uint64_t> keys(n), values(n);
-  Xoshiro256 rng(11);
-  for (std::size_t i = 0; i < n; ++i) {
-    keys[i] = rng() & 0xffffull;  // dense duplicates exercise stability
-    values[i] = i;
-  }
-  std::vector<std::uint64_t> ref_keys = keys, ref_values = values;
-  primitives::sort_pairs_oracle(std::span<std::uint64_t>(ref_keys),
-                                std::span<std::uint64_t>(ref_values));
-
-  gpusim::DeviceContext ctx(gpusim::GpuSpec::a100());
-  primitives::device_radix_sort_pairs<std::uint64_t, std::uint64_t>(
-      ctx, std::span<std::uint64_t>(keys), std::span<std::uint64_t>(values), sc);
-  return std::memcmp(keys.data(), ref_keys.data(), n * sizeof(std::uint64_t)) == 0 &&
-         std::memcmp(values.data(), ref_values.data(), n * sizeof(std::uint64_t)) == 0;
-}
-
-/// fp exclusive scan under the tuned schedule must equal both the default
-/// schedule and the serial oracle bit for bit: chunk/lanes only remap the
-/// frozen kSegment slices onto blocks.
-bool scan_bitwise(const tune::Config& cfg) {
-  const tune::SpaceDesc* space = tune::find_space("primitives-scan");
-  primitives::ScanConfig tuned;
-  tuned.chunk = static_cast<std::size_t>(
-      std::max(1L, tune::config_value(*space, cfg, "chunk")));
-  tuned.lanes = static_cast<std::size_t>(
-      std::max(1L, tune::config_value(*space, cfg, "lanes")));
-
-  constexpr std::size_t n = 10007;  // prime: ragged final segment
-  std::vector<double> in(n);
-  Xoshiro256 rng(13);
-  for (std::size_t i = 0; i < n; ++i) in[i] = rng.uniform() - 0.5;
-
-  std::vector<double> ref(n);
-  primitives::exclusive_scan_oracle(std::span<const double>(in), std::span<double>(ref),
-                                    primitives::SumOp<double>{});
-
-  gpusim::DeviceContext ctx(gpusim::GpuSpec::a100());
-  std::vector<double> out_def(n), out_tuned(n);
-  primitives::device_exclusive_scan(ctx, std::span<const double>(in),
-                                    std::span<double>(out_def),
-                                    primitives::SumOp<double>{});
-  primitives::device_exclusive_scan(ctx, std::span<const double>(in),
-                                    std::span<double>(out_tuned),
-                                    primitives::SumOp<double>{}, tuned);
-  return std::memcmp(out_def.data(), ref.data(), n * sizeof(double)) == 0 &&
-         std::memcmp(out_tuned.data(), ref.data(), n * sizeof(double)) == 0;
-}
-
 bool bitwise_check(const Workload& w, const tune::Config& cfg) {
   if (w.space == "gemm-tile") {
     for (const Precision p : {Precision::kDouble, Precision::kSingle, Precision::kHalfIn}) {
@@ -306,8 +238,6 @@ bool bitwise_check(const Workload& w, const tune::Config& cfg) {
   if (w.name == "launch") return launch_bitwise(cfg);
   if (w.space == "dispatch") return dispatch_bitwise(cfg);
   if (w.space == "serve-batch") return serve_bitwise(cfg);
-  if (w.space == "primitives-radix") return radix_bitwise(cfg);
-  if (w.space == "primitives-scan") return scan_bitwise(cfg);
   return true;
 }
 
@@ -377,9 +307,9 @@ int run(const Options& opt) {
   if (!opt.cache.empty()) {
     const tune::CacheLoadResult lr = cache.load(opt.cache);
     if (lr.status != tune::CacheLoadStatus::kOk) {
+      // Every failed load carries a warning naming its status.
       std::fprintf(stderr, "tuned_vs_default: %s (tuning in-process)\n",
-                   lr.warning.empty() ? tune::cache_status_name(lr.status)
-                                      : lr.warning.c_str());
+                   lr.warning.c_str());
     }
   }
 
@@ -396,10 +326,6 @@ int run(const Options& opt) {
   workloads.push_back({"launch", "dispatch", "-", 0, tune::launch_objective()});
   workloads.push_back(
       {"serve_batch", "serve-batch", "-", 0, tune::serve_batch_objective(serve_jobs)});
-  workloads.push_back({"prim_radix", "primitives-radix", "-", 0,
-                       tune::primitives_radix_objective(opt.quick ? (1u << 15) : (1u << 17))});
-  workloads.push_back({"prim_scan", "primitives-scan", "-", 0,
-                       tune::primitives_scan_objective(opt.quick ? (1u << 16) : (1u << 19))});
 
   std::vector<WorkloadResult> results;
   double best_speedup = 1.0;

@@ -11,10 +11,10 @@
 // Bitwise contract: inside gemm_tiled_serial_scratch, the accumulation
 // order of any C(i,j) is the KC-block sequence over k — it does not
 // depend on how rows are grouped into MC blocks or panels.  KC is a
-// frozen fp-order knob (src/tune/params), so every panel split, every
-// device count, and every per-device MC choice produces bit-identical C
-// to the single-device serial oracle (gemm_tiled_serial_scratch over the
-// whole matrix).  tests/multigpu pins exactly that.
+// frozen fp-order knob (src/tune/params), so every panel split and every
+// device count produces bit-identical C to the single-device serial
+// oracle (gemm_tiled_serial_scratch over the whole matrix).
+// tests/multigpu pins exactly that.
 #pragma once
 
 #include <algorithm>
@@ -32,7 +32,7 @@
 namespace portabench::multigpu {
 
 struct GemmShardOptions {
-  std::size_t panel_rows = 0;  ///< 0: 2 * tile.mc
+  std::size_t panel_rows = 0;  ///< 0: 2 * gemm::TileConfig{}.mc
   std::size_t slots = 2;
   bool overlap = true;
   /// Stage host panels from each device's own NUMA domain (the pinned
@@ -44,10 +44,6 @@ struct GemmShardOptions {
   /// makespan).  The overlap bench feeds the perfmodel GEMM time here so
   /// the modeled and measured pipelines describe the same schedule.
   double modeled_panel_kernel_s = 0.0;
-  /// Tile schedule per device; index d used for device d (empty: default
-  /// TileConfig for every device).  MC is pure work partitioning —
-  /// per-device tiles cannot break the bitwise contract (KC is frozen).
-  std::vector<gemm::TileConfig> tiles;
 };
 
 /// C = A * B (C overwritten), sharded across every device of `topo`.
@@ -66,14 +62,10 @@ gpusim::PipelineStats gemm_sharded(gpusim::DeviceTopology& topo,
   PB_EXPECTS(A.stride(1) == 1 && A.stride(0) == k);
   PB_EXPECTS(B.stride(1) == 1 && B.stride(0) == n);
   PB_EXPECTS(C.stride(1) == 1 && C.stride(0) == n);
-  PB_EXPECTS(opt.tiles.empty() || opt.tiles.size() >= topo.devices());
 
-  const gemm::TileConfig default_tile{};
-  const auto tile_of = [&](std::size_t d) -> const gemm::TileConfig& {
-    return opt.tiles.empty() ? default_tile : opt.tiles[d];
-  };
+  const gemm::TileConfig tile{};
   std::size_t panel_rows = opt.panel_rows;
-  if (panel_rows == 0) panel_rows = 2 * tile_of(0).mc;
+  if (panel_rows == 0) panel_rows = 2 * tile.mc;
   if (m == 0 || n == 0 || k == 0) return {};
 
   const ShardPlan plan = ShardPlan::rows(m, panel_rows, topo.devices());
@@ -113,7 +105,6 @@ gpusim::PipelineStats gemm_sharded(gpusim::DeviceTopology& topo,
   const auto compute = [&](gpusim::Stream& s, std::size_t d, std::size_t kk,
                            std::size_t slot) {
     const Panel& p = plan.panel(d, kk);
-    const gemm::TileConfig tile = tile_of(d);
     T* a_ptr = dev[d].a_slots[slot].data();
     T* c_ptr = dev[d].c_slots[slot].data();
     T* b_ptr = dev[d].b.data();

@@ -31,7 +31,7 @@
 
 namespace portabench::primitives {
 
-/// Schedule-only knobs (searchable; see the `primitives-scan` space).
+/// Schedule-only knobs: a call parameter; every value gives the same bits.
 struct ReduceConfig {
   std::size_t lanes = kDefaultLanes;
   std::size_t items_per_lane = kDefaultItemsPerLane;  ///< segments per lane

@@ -29,7 +29,7 @@
 
 namespace portabench::primitives {
 
-/// Schedule-only knobs (searchable; see the `primitives-scan` space).
+/// Schedule-only knobs: a call parameter; every value gives the same bits.
 struct ScanConfig {
   std::size_t lanes = kDefaultLanes;
   std::size_t chunk = kDefaultScanChunk;  ///< elements per block tile

@@ -40,7 +40,7 @@
 
 namespace portabench::primitives {
 
-/// Schedule-only knobs (searchable; see the `primitives-radix` space).
+/// Schedule-only knobs: a call parameter; every value gives the same bits.
 /// radix_bits is schedule-only too: any digit width yields the identical
 /// sorted output (the keys are integers after the bijection).
 struct SortConfig {

@@ -4,13 +4,14 @@
 // device-wide reduction/scan folds within kSegment-element slices and
 // combines slice partials in ascending slice order, so the result is a
 // pure function of (T, op, n, kSegment) — never of block size, grain, or
-// thread count.  It is registered FROZEN in the tuning registry (the
-// same contract as the GEMM kc panel depth); changing it changes
-// floating-point bits and invalidates every golden value.
+// thread count.  It is the same contract as the GEMM kc panel depth:
+// changing it changes floating-point bits and invalidates every golden
+// value.
 //
 // Everything else here is a schedule-only default: it remaps which
-// worker computes which slice and is searchable through the
-// `primitives-scan` / `primitives-radix` spaces (docs/TUNING.md).
+// worker computes which slice.  Callers may override it per call through
+// ScanConfig / ReduceConfig / SortConfig; tests/primitives sweeps those
+// schedules and pins that every one gives identical bits.
 #pragma once
 
 #include <cstddef>

@@ -532,11 +532,10 @@ void ServeEngine::run_bucket(Shard& shard, std::size_t lo, std::size_t hi) {
         // A bucket is homogeneous in (precision, size_class), so one
         // tuned schedule applies to every job in it.  Tuned configs
         // only move schedule knobs (row grain, SIMD tier), so the
-        // bitwise run_serial contract is unaffected.  The per-GCD space
-        // resolves the shard's device, falling back to the single-
-        // device winner when untuned.
-        const gemm::TileConfig& tile = tune::Tuned::instance().gemm_tile_device(
-            shard.device, proto.precision, size_class(proto.n));
+        // bitwise run_serial contract is unaffected; run_serial
+        // resolves the same lookup.
+        const gemm::TileConfig& tile =
+            tune::Tuned::instance().gemm_tile(proto.precision, size_class(proto.n));
         switch (proto.precision) {
           case Precision::kDouble:
             run_tiled_bucket(engine, st.gemm_f64, descs, bases, tile);

@@ -1,5 +1,6 @@
 #include "cache.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -30,17 +31,28 @@ CacheLoadResult fail(CacheLoadStatus status, const std::string& origin,
   return r;
 }
 
-/// Integral field with range check; false on absence / wrong kind /
+/// True when `d` is an integer in [lo, hi).  The checks stay in double:
+/// casting an out-of-range or infinite double to an integer type is
+/// undefined, and NaN fails every comparison.
+bool integral_in(double d, double lo, double hi) {
+  return d >= lo && d < hi && d == std::trunc(d);
+}
+
+/// Integral field in [lo, hi); false on absence / wrong kind /
 /// non-integral / out-of-range values.
 bool integral_at(const JsonValue& obj, const std::string& key, double lo, double hi,
                  double* out) {
   const auto v = obj.number_at(key);
-  if (!v.has_value()) return false;
-  const double d = *v;
-  if (d != static_cast<double>(static_cast<long long>(d))) return false;
-  if (d < lo || d > hi) return false;
-  *out = d;
+  if (!v.has_value() || !integral_in(*v, lo, hi)) return false;
+  *out = *v;
   return true;
+}
+
+/// A JSON number as text, without an integer cast (it may be huge).
+std::string format_number(double d) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", d);
+  return buf;
 }
 
 bool parse_entry(const JsonValue& e, CacheEntry* out) {
@@ -50,7 +62,7 @@ bool parse_entry(const JsonValue& e, CacheEntry* out) {
   out->space = *space;
   out->precision = e.string_at("precision").value_or("-");
   double num = 0.0;
-  if (!integral_at(e, "size_class", 0.0, 4294967295.0, &num)) return false;
+  if (!integral_at(e, "size_class", 0.0, 0x1p32, &num)) return false;
   out->size_class = static_cast<std::uint32_t>(num);
   // The 64-bit fingerprint hash does not fit a double losslessly, so it
   // is persisted as a hex string.
@@ -65,7 +77,7 @@ bool parse_entry(const JsonValue& e, CacheEntry* out) {
   for (const auto& [name, value] : config->as_object()) {
     if (!value.is_number()) return false;
     const double d = value.as_number();
-    if (d != static_cast<double>(static_cast<long>(d))) return false;
+    if (!integral_in(d, -0x1p63, 0x1p63)) return false;  // long's range
     out->config[name] = static_cast<long>(d);
   }
   out->tuned_ms = e.number_at("tuned_ms").value_or(0.0);
@@ -98,8 +110,8 @@ CacheLoadResult TuningCache::load_text(std::string_view text, const std::string&
   }
   if (*version != static_cast<double>(kCacheSchemaVersion)) {
     return fail(CacheLoadStatus::kVersionMismatch, origin,
-                "schema_version " + std::to_string(static_cast<long>(*version)) +
-                    " != " + std::to_string(kCacheSchemaVersion));
+                "schema_version " + format_number(*version) + " != " +
+                    std::to_string(kCacheSchemaVersion));
   }
   const JsonValue* entries = root.find("entries");
   if (entries == nullptr || !entries->is_array()) {

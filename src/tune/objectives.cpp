@@ -8,15 +8,12 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "gemm/kernels_tiled.hpp"
-#include "gpusim/device.hpp"
 #include "gpusim/engine.hpp"
-#include "primitives/reduce.hpp"
-#include "primitives/scan.hpp"
-#include "primitives/sort.hpp"
 #include "serve/engine.hpp"
 #include "simrt/mdarray.hpp"
 #include "simrt/parallel.hpp"
 #include "simrt/tunables.hpp"
+#include "tuned.hpp"
 
 namespace portabench::tune {
 
@@ -26,17 +23,6 @@ std::size_t knob(const Config& cfg, const char* knob_name, std::size_t fallback)
   const auto it = cfg.find(knob_name);
   if (it == cfg.end() || it->second < 1) return fallback;
   return static_cast<std::size_t>(it->second);
-}
-
-gemm::TileConfig tile_from_config(const Config& cfg) {
-  gemm::TileConfig tc;
-  tc.mc = knob(cfg, "mc", tc.mc);
-  tc.kc = knob(cfg, "kc", tc.kc);
-  const auto tier = cfg.find("tier");
-  if (tier != cfg.end() && tier->second >= -1 && tier->second <= 3) {
-    tc.tier = static_cast<int>(tier->second);
-  }
-  return tc;
 }
 
 template <class T, class Acc>
@@ -60,7 +46,7 @@ Objective make_gemm_objective(std::size_t n) {
     st->b[i] = static_cast<T>(rng.uniform() - 0.5);
   }
   return [st](const Config& cfg) -> double {
-    const gemm::TileConfig tc = tile_from_config(cfg);
+    const gemm::TileConfig tc = tile_config_of(cfg);
     std::fill(st->c.begin(), st->c.end(), Acc{});
     const simrt::RawView2<const T> A(st->a.data(), st->n, st->n);
     const simrt::RawView2<const T> B(st->b.data(), st->n, st->n);
@@ -170,68 +156,6 @@ Objective serve_batch_objective(std::size_t jobs, std::uint32_t n) {
       (void)engine.try_submit(d);
     }
     engine.drain();
-    return timer.seconds() * 1e3;
-  };
-}
-
-Objective primitives_radix_objective(std::size_t n) {
-  struct State {
-    explicit State(std::size_t size)
-        : ctx(gpusim::GpuSpec::a100()), keys(size), values(size),
-          key_seed(size), value_seed(size) {}
-    gpusim::DeviceContext ctx;
-    std::vector<std::uint64_t> keys, values;
-    std::vector<std::uint64_t> key_seed, value_seed;
-  };
-  auto st = std::make_shared<State>(n);
-  Xoshiro256 rng(1234);
-  for (std::size_t i = 0; i < n; ++i) {
-    st->key_seed[i] = rng();
-    st->value_seed[i] = i;
-  }
-  return [st](const Config& cfg) -> double {
-    primitives::SortConfig sc;
-    const auto bits = cfg.find("radix_bits");
-    if (bits != cfg.end() && bits->second >= 1 && bits->second <= 8) {
-      sc.radix_bits = static_cast<unsigned>(bits->second);
-    }
-    sc.chunk = knob(cfg, "chunk", sc.chunk);
-    sc.lanes = knob(cfg, "lanes", sc.lanes);
-    st->keys = st->key_seed;
-    st->values = st->value_seed;
-    Timer timer;
-    primitives::device_radix_sort_pairs<std::uint64_t, std::uint64_t>(
-        st->ctx, std::span<std::uint64_t>(st->keys),
-        std::span<std::uint64_t>(st->values), sc);
-    return timer.seconds() * 1e3;
-  };
-}
-
-Objective primitives_scan_objective(std::size_t n) {
-  struct State {
-    explicit State(std::size_t size)
-        : ctx(gpusim::GpuSpec::a100()), in(size), out(size) {}
-    gpusim::DeviceContext ctx;
-    std::vector<double> in, out;
-  };
-  auto st = std::make_shared<State>(n);
-  Xoshiro256 rng(5678);
-  for (std::size_t i = 0; i < n; ++i) st->in[i] = rng.uniform() - 0.5;
-  return [st](const Config& cfg) -> double {
-    primitives::ScanConfig sc;
-    sc.chunk = knob(cfg, "chunk", sc.chunk);
-    sc.lanes = knob(cfg, "lanes", sc.lanes);
-    primitives::ReduceConfig rc;
-    rc.lanes = sc.lanes;
-    rc.items_per_lane = knob(cfg, "items_per_lane", rc.items_per_lane);
-    Timer timer;
-    primitives::device_exclusive_scan(st->ctx, std::span<const double>(st->in),
-                                      std::span<double>(st->out),
-                                      primitives::SumOp<double>{}, sc);
-    // The reduce runs through real launches — it cannot be elided; the
-    // value itself is pinned elsewhere (tuned_vs_default, oracle tests).
-    (void)primitives::device_reduce(st->ctx, std::span<const double>(st->in),
-                                    primitives::SumOp<double>{}, rc);
     return timer.seconds() * 1e3;
   };
 }

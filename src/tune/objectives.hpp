@@ -22,7 +22,8 @@
 namespace portabench::tune {
 
 /// Tiled-GEMM schedule objective: one n x n GEMM at precision `p` over a
-/// persistent thread team; candidate configs name "mc"/"kc"/"tier".
+/// persistent thread team; candidate configs name "mc"/"tier" (read
+/// through tile_config_of, so the frozen "kc" never moves).
 [[nodiscard]] Objective gemm_tile_objective(Precision p, std::size_t n);
 
 /// simrt dispatch objective: small trivial-work parallel regions (static
@@ -40,17 +41,5 @@ namespace portabench::tune {
 /// Serving objective: stream `jobs` tiled-GEMM jobs of size `n` through
 /// a fresh ServeEngine per evaluation; candidates name "batch_jobs".
 [[nodiscard]] Objective serve_batch_objective(std::size_t jobs = 2048, std::uint32_t n = 48);
-
-/// Device radix-sort objective: sort `n` random uint64 keys (key-value,
-/// the serve flush shape) under the candidate schedule; candidates name
-/// "radix_bits"/"chunk"/"lanes".  Every knob is schedule-only, so the
-/// objective asserts nothing about values — the bitwise pin lives in
-/// bench/tuned_vs_default.
-[[nodiscard]] Objective primitives_radix_objective(std::size_t n = 1u << 18);
-
-/// Device scan+reduce objective: exclusive double scan plus sum reduce
-/// over `n` elements under the candidate schedule; candidates name
-/// "chunk"/"lanes"/"items_per_lane" (and the frozen "segment").
-[[nodiscard]] Objective primitives_scan_objective(std::size_t n = 1u << 20);
 
 }  // namespace portabench::tune

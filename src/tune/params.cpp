@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "gemm/kernels_tiled.hpp"
-#include "primitives/tunables.hpp"
 #include "simrt/simd.hpp"
 #include "simrt/tunables.hpp"
 
@@ -75,37 +74,6 @@ std::vector<SpaceDesc> build_registry() {
   }
 
   {
-    // Per-GCD variant of the tile space: the multi-device serve/bench
-    // paths resolve their panel kernels through this space so a node
-    // tune can pick a different MC grain for the sharded regime (smaller
-    // per-device worker pools shift the sweet spot) without disturbing
-    // the single-device "gemm-tile" winners.  GCDs are homogeneous, so
-    // one tuned config serves every device index.  KC stays frozen: MC
-    // is pure work partitioning and cannot change fp accumulation order,
-    // which is what keeps per-device tiles inside the bitwise-replay
-    // contract (tests/multigpu pins it).
-    SpaceDesc s;
-    s.name = "gemm-tile-gcd";
-    s.what = "per-GCD tiled GEMM schedule for sharded multi-device runs";
-    s.params.push_back({"mc",
-                        {16, 32, 64, 128, 256},
-                        static_cast<long>(gemm::tiled::kMC),
-                        false,
-                        "rows per parallel unit on one GCD; pure work partitioning"});
-    s.params.push_back({"kc",
-                        {static_cast<long>(gemm::tiled::kKC)},
-                        static_cast<long>(gemm::tiled::kKC),
-                        true,
-                        "ORDER-AFFECTING: KC grouping changes fp accumulation order"});
-    ParamSpec tier{"tier", {-1}, -1, false,
-                   "micro-kernel SIMD tier; -1 = host dispatch tier"};
-    const int top = static_cast<int>(simrt::simd_dispatch_tier());
-    for (int t = 0; t <= top; ++t) tier.choices.push_back(t);
-    s.params.push_back(std::move(tier));
-    spaces.push_back(std::move(s));
-  }
-
-  {
     SpaceDesc s;
     s.name = "dispatch";
     s.what = "host fork-elision grain and chunking (simrt regions, gpusim launches)";
@@ -144,65 +112,6 @@ std::vector<SpaceDesc> build_registry() {
                         "flush-batch ordering kernel: 0 = std::sort, 1 = the "
                         "primitives LSD radix path (same (bucket, id) order "
                         "either way — stability makes them interchangeable)"});
-    spaces.push_back(std::move(s));
-  }
-
-  {
-    // Device-wide radix sort schedule.  Every knob is schedule-only: the
-    // keys are integers after the radix bijection, so any digit width,
-    // tile size, or lane count yields the identical (stable) sorted
-    // output — tuned_vs_default pins that bitwise.
-    SpaceDesc s;
-    s.name = "primitives-radix";
-    s.what = "device radix sort: digit width, block tile, privatized lanes";
-    s.params.push_back({"radix_bits",
-                        {2, 4, 8},
-                        static_cast<long>(primitives::kDefaultRadixBits),
-                        false,
-                        "LSD digit width; wider digits mean fewer passes but "
-                        "bigger privatized histograms"});
-    s.params.push_back({"chunk",
-                        {2048, 4096, 8192, 16384, 32768},
-                        static_cast<long>(primitives::kDefaultSortChunk),
-                        false,
-                        "elements per count/scatter block tile"});
-    s.params.push_back({"lanes",
-                        {8, 16, 32, 64},
-                        static_cast<long>(primitives::kDefaultSortLanes),
-                        false,
-                        "lanes per block (clamped by shared-memory limit)"});
-    spaces.push_back(std::move(s));
-  }
-
-  {
-    // Device-wide scan/reduce schedule.  The association unit (segment)
-    // is FROZEN — fp results are a pure function of (T, op, n, segment),
-    // exactly the gemm kc contract — while chunk/lanes/items_per_lane
-    // only remap segments onto blocks and lanes.
-    SpaceDesc s;
-    s.name = "primitives-scan";
-    s.what = "device scan/reduce: block tile, lanes, reduce grain";
-    s.params.push_back({"chunk",
-                        {1024, 2048, 4096, 8192, 16384},
-                        static_cast<long>(primitives::kDefaultScanChunk),
-                        false,
-                        "elements per scan block tile (whole segments)"});
-    s.params.push_back({"lanes",
-                        {32, 64, 128, 256},
-                        static_cast<long>(primitives::kDefaultLanes),
-                        false,
-                        "lanes per block for the partials passes"});
-    s.params.push_back({"items_per_lane",
-                        {1, 2, 4, 8},
-                        static_cast<long>(primitives::kDefaultItemsPerLane),
-                        false,
-                        "segments each lane folds in the reduce pass"});
-    s.params.push_back({"segment",
-                        {static_cast<long>(primitives::kSegment)},
-                        static_cast<long>(primitives::kSegment),
-                        true,
-                        "ORDER-AFFECTING: fp slice-fold unit; frozen like "
-                        "gemm kc"});
     spaces.push_back(std::move(s));
   }
 

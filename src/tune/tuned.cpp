@@ -21,6 +21,17 @@ bool env_set(const char* name) { return std::getenv(name) != nullptr; }
 
 }  // namespace
 
+gemm::TileConfig tile_config_of(const Config& config) noexcept {
+  gemm::TileConfig cfg;
+  const auto mc = config.find("mc");
+  if (mc != config.end()) cfg.mc = as_size_knob(mc->second, cfg.mc);
+  const auto tier = config.find("tier");
+  if (tier != config.end() && tier->second >= -1 && tier->second <= 3) {
+    cfg.tier = static_cast<int>(tier->second);
+  }
+  return cfg;
+}
+
 Tuned& Tuned::instance() {
   static Tuned* t = new Tuned();  // leaked: lookups may outlive main()
   return *t;
@@ -30,9 +41,6 @@ Tuned::~Tuned() { free_slots(); }
 
 void Tuned::free_slots() noexcept {
   for (auto& slot : tile_slots_) {
-    delete slot.exchange(nullptr, std::memory_order_acq_rel);
-  }
-  for (auto& slot : gcd_tile_slots_) {
     delete slot.exchange(nullptr, std::memory_order_acq_rel);
   }
 }
@@ -79,62 +87,7 @@ const gemm::TileConfig& Tuned::gemm_tile(Precision p, std::uint32_t size_class) 
     if (!disabled_) {
       const CacheEntry* e =
           cache_.find("gemm-tile", name(p), size_class, fingerprint_);
-      if (e != nullptr) {
-        const auto mc = e->config.find("mc");
-        if (mc != e->config.end()) cfg.mc = as_size_knob(mc->second, cfg.mc);
-        // kc is frozen in the registry; still clamp-read it so a hand-
-        // edited cache cannot smuggle in a zero.
-        const auto kc = e->config.find("kc");
-        if (kc != e->config.end()) cfg.kc = as_size_knob(kc->second, cfg.kc);
-        const auto tier = e->config.find("tier");
-        if (tier != e->config.end() && tier->second >= -1 && tier->second <= 3) {
-          cfg.tier = static_cast<int>(tier->second);
-        }
-      }
-    }
-  }
-
-  const auto* fresh = new gemm::TileConfig(cfg);
-  const gemm::TileConfig* expected = nullptr;
-  if (!slot.compare_exchange_strong(expected, fresh, std::memory_order_release,
-                                    std::memory_order_acquire)) {
-    delete fresh;  // another first-use racer won; adopt its slot
-    return *expected;
-  }
-  slot_fills_.fetch_add(1, std::memory_order_relaxed);
-  return *fresh;
-}
-
-const gemm::TileConfig& Tuned::gemm_tile_device(std::size_t /*device*/, Precision p,
-                                                std::uint32_t size_class) noexcept {
-  const std::size_t pi = std::min<std::size_t>(static_cast<std::size_t>(p),
-                                               kNumPrecisions - 1);
-  const std::size_t sc = std::min<std::size_t>(size_class, kSizeClasses - 1);
-  std::atomic<const gemm::TileConfig*>& slot = gcd_tile_slots_[pi * kSizeClasses + sc];
-
-  if (const gemm::TileConfig* hit = slot.load(std::memory_order_acquire)) {
-    return *hit;  // warm path: one load, no allocation
-  }
-
-  // Fallback is the single-device winner (itself defaulting to
-  // TileConfig{}); a gemm-tile-gcd cache entry overlays it.
-  gemm::TileConfig cfg = gemm_tile(p, size_class);
-  ensure_loaded();
-  {
-    std::lock_guard<TuneMutex> lock(mutex_);
-    if (!disabled_) {
-      const CacheEntry* e =
-          cache_.find("gemm-tile-gcd", name(p), size_class, fingerprint_);
-      if (e != nullptr) {
-        const auto mc = e->config.find("mc");
-        if (mc != e->config.end()) cfg.mc = as_size_knob(mc->second, cfg.mc);
-        const auto kc = e->config.find("kc");
-        if (kc != e->config.end()) cfg.kc = as_size_knob(kc->second, cfg.kc);
-        const auto tier = e->config.find("tier");
-        if (tier != e->config.end() && tier->second >= -1 && tier->second <= 3) {
-          cfg.tier = static_cast<int>(tier->second);
-        }
-      }
+      if (e != nullptr) cfg = tile_config_of(e->config);
     }
   }
 
@@ -169,54 +122,6 @@ bool Tuned::serve_sort_radix(bool fallback) noexcept {
   const auto it = e->config.find("sort_radix");
   if (it == e->config.end()) return fallback;
   return it->second != 0;
-}
-
-primitives::SortConfig Tuned::radix_sort_config(primitives::SortConfig fallback) noexcept {
-  ensure_loaded();
-  std::lock_guard<TuneMutex> lock(mutex_);
-  if (disabled_) return fallback;
-  const CacheEntry* e = cache_.find("primitives-radix", "-", 0, fingerprint_);
-  if (e == nullptr) return fallback;
-  primitives::SortConfig cfg = fallback;
-  const auto bits = e->config.find("radix_bits");
-  if (bits != e->config.end() && bits->second >= 1 && bits->second <= 8) {
-    cfg.radix_bits = static_cast<unsigned>(bits->second);
-  }
-  const auto chunk = e->config.find("chunk");
-  if (chunk != e->config.end()) cfg.chunk = as_size_knob(chunk->second, cfg.chunk);
-  const auto lanes = e->config.find("lanes");
-  if (lanes != e->config.end()) cfg.lanes = as_size_knob(lanes->second, cfg.lanes);
-  return cfg;
-}
-
-primitives::ScanConfig Tuned::scan_config(primitives::ScanConfig fallback) noexcept {
-  ensure_loaded();
-  std::lock_guard<TuneMutex> lock(mutex_);
-  if (disabled_) return fallback;
-  const CacheEntry* e = cache_.find("primitives-scan", "-", 0, fingerprint_);
-  if (e == nullptr) return fallback;
-  primitives::ScanConfig cfg = fallback;
-  const auto chunk = e->config.find("chunk");
-  if (chunk != e->config.end()) cfg.chunk = as_size_knob(chunk->second, cfg.chunk);
-  const auto lanes = e->config.find("lanes");
-  if (lanes != e->config.end()) cfg.lanes = as_size_knob(lanes->second, cfg.lanes);
-  return cfg;
-}
-
-primitives::ReduceConfig Tuned::reduce_config(primitives::ReduceConfig fallback) noexcept {
-  ensure_loaded();
-  std::lock_guard<TuneMutex> lock(mutex_);
-  if (disabled_) return fallback;
-  const CacheEntry* e = cache_.find("primitives-scan", "-", 0, fingerprint_);
-  if (e == nullptr) return fallback;
-  primitives::ReduceConfig cfg = fallback;
-  const auto lanes = e->config.find("lanes");
-  if (lanes != e->config.end()) cfg.lanes = as_size_knob(lanes->second, cfg.lanes);
-  const auto grain = e->config.find("items_per_lane");
-  if (grain != e->config.end()) {
-    cfg.items_per_lane = as_size_knob(grain->second, cfg.items_per_lane);
-  }
-  return cfg;
 }
 
 void Tuned::apply_process_tunables() noexcept {

@@ -29,9 +29,6 @@
 #include "cache.hpp"
 #include "common/precision.hpp"
 #include "gemm/kernels_tiled.hpp"
-#include "primitives/reduce.hpp"
-#include "primitives/scan.hpp"
-#include "primitives/sort.hpp"
 
 namespace portabench::tune {
 
@@ -39,6 +36,12 @@ namespace portabench::tune {
 /// concurrent across serve shards and needs a real lock; the warm path
 /// never touches it.
 using TuneMutex = std::mutex;  // portalint: raw-thread-ok(first-use cache load races across serve shards; warm path is lock-free)
+
+/// The tile schedule a "gemm-tile" config names.  Only the searchable
+/// knobs are read (mc, tier); kc is frozen as order-affecting, so it is
+/// always gemm::tiled::kKC whatever the config says.  Missing or
+/// out-of-range knobs keep their TileConfig{} default.
+[[nodiscard]] gemm::TileConfig tile_config_of(const Config& config) noexcept;
 
 class Tuned {
  public:
@@ -51,36 +54,12 @@ class Tuned {
   [[nodiscard]] const gemm::TileConfig& gemm_tile(Precision p,
                                                   std::uint32_t size_class) noexcept;
 
-  /// Per-GCD tiled-GEMM schedule for sharded multi-device runs: consults
-  /// the "gemm-tile-gcd" space, falling back to the single-device
-  /// gemm_tile() winner when untuned.  GCDs are homogeneous, so one
-  /// resolved config serves every device index; `device` is accepted for
-  /// future heterogeneous nodes and does not key the lookup today.  Warm
-  /// calls: one acquire load, zero allocation.
-  [[nodiscard]] const gemm::TileConfig& gemm_tile_device(std::size_t device, Precision p,
-                                                         std::uint32_t size_class) noexcept;
-
   /// Tuned ServeEngine batch size, or `fallback` when untuned.
   [[nodiscard]] std::size_t serve_batch_jobs(std::size_t fallback) noexcept;
 
   /// Tuned ServeEngine flush-sort kernel choice ("serve-batch" space,
   /// sort_radix knob), or `fallback` when untuned.
   [[nodiscard]] bool serve_sort_radix(bool fallback) noexcept;
-
-  /// Tuned device radix-sort schedule ("primitives-radix" space)
-  /// overlaid on `fallback`.  Every knob is schedule-only: the sorted
-  /// output is identical for any valid config.
-  [[nodiscard]] primitives::SortConfig radix_sort_config(
-      primitives::SortConfig fallback = {}) noexcept;
-
-  /// Tuned device scan schedule ("primitives-scan" space: chunk, lanes).
-  [[nodiscard]] primitives::ScanConfig scan_config(
-      primitives::ScanConfig fallback = {}) noexcept;
-
-  /// Tuned device reduce schedule ("primitives-scan" space: lanes,
-  /// items_per_lane).
-  [[nodiscard]] primitives::ReduceConfig reduce_config(
-      primitives::ReduceConfig fallback = {}) noexcept;
 
   /// Push the cached "dispatch" winner into the simrt runtime tunables
   /// (simrt regions and gpusim launches).  Explicit PORTABENCH_TUNE_*
@@ -118,9 +97,6 @@ class Tuned {
   static constexpr std::size_t kSizeClasses = 32;
 
   std::atomic<const gemm::TileConfig*> tile_slots_[kNumPrecisions * kSizeClasses] = {};
-  /// Homogeneous GCDs: one slot bank for the per-GCD space, not one per
-  /// device index.
-  std::atomic<const gemm::TileConfig*> gcd_tile_slots_[kNumPrecisions * kSizeClasses] = {};
   std::atomic<std::uint64_t> slot_fills_{0};
 
   TuneMutex mutex_;  ///< guards the load + the fields below

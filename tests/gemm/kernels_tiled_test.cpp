@@ -7,13 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string_view>
 #include <tuple>
+#include <vector>
 
 #include "common/half.hpp"
 #include "common/rng.hpp"
 #include "gemm/reference.hpp"
 #include "gemm/validate.hpp"
 #include "models/runner.hpp"
+#include "tune/params.hpp"
 
 namespace portabench::gemm {
 namespace {
@@ -168,6 +172,56 @@ TEST(TiledGemm, SerialAndThreadedBitwiseIdentical) {
   gemm_tiled<double>(serial, A, B, C_serial);
   gemm_tiled<double>(threads, A, B, C_threads);
   EXPECT_EQ(max_abs_diff(C_serial, C_threads), 0.0);
+}
+
+// ---- tuned schedules ------------------------------------------------------
+
+std::vector<long> gemm_tile_choices(std::string_view knob) {
+  const tune::SpaceDesc* space = tune::find_space("gemm-tile");
+  EXPECT_NE(space, nullptr);
+  if (space == nullptr) return {};
+  for (const tune::ParamSpec& p : space->params) {
+    if (p.name == knob) return p.choices;
+  }
+  ADD_FAILURE() << "gemm-tile has no knob " << knob;
+  return {};
+}
+
+/// Every schedule the tuner may pick (each gemm-tile mc choice, each
+/// SIMD tier this host dispatches) regroups rows and picks the micro-
+/// kernel, but never the per-element KC-major accumulation order, so the
+/// threaded result must equal TileConfig{} bit for bit.
+template <class T, class Acc>
+void expect_tuned_tiles_bitwise(std::uint64_t seed) {
+  // Ragged on purpose: m is no multiple of any mc choice, k spans two
+  // KC panels.
+  constexpr std::size_t kM = 75, kK = 260, kN = 19;
+  auto A = random_matrix<T, LayoutRight>(kM, kK, seed);
+  auto B = random_matrix<T, LayoutRight>(kK, kN, seed + 1);
+  ThreadsSpace space(4);
+  View2<Acc, LayoutRight> C_default(kM, kN);
+  gemm_tiled<Acc>(space, A, B, C_default);
+  for (const long mc : gemm_tile_choices("mc")) {
+    for (const long tier : gemm_tile_choices("tier")) {
+      TileConfig tile;
+      tile.mc = static_cast<std::size_t>(mc);
+      tile.tier = static_cast<int>(tier);
+      View2<Acc, LayoutRight> C(kM, kN);
+      gemm_tiled<Acc>(space, A, B, C, tile);
+      EXPECT_EQ(std::memcmp(C.data(), C_default.data(), kM * kN * sizeof(Acc)), 0)
+          << "mc=" << mc << " tier=" << tier;
+    }
+  }
+}
+
+TEST(TiledGemm, TunedTilesBitwiseEqualDefaultDouble) {
+  expect_tuned_tiles_bitwise<double, double>(31);
+}
+TEST(TiledGemm, TunedTilesBitwiseEqualDefaultSingle) {
+  expect_tuned_tiles_bitwise<float, float>(33);
+}
+TEST(TiledGemm, TunedTilesBitwiseEqualDefaultHalf) {
+  expect_tuned_tiles_bitwise<half, float>(35);
 }
 
 TEST(TiledGemm, ShapeMismatchRejected) {

@@ -3,8 +3,9 @@
 // with a typed status, never abort), fingerprint keying (another
 // machine's winner is ignored), clean concurrent first-use resolution,
 // the warm-path no-new-allocation guarantee (slot_fills stops moving
-// once every bucket is resolved), and caches written by older builds
-// (entries for retired spaces load but change nothing).
+// once every bucket is resolved), frozen knobs that a cache cannot move,
+// caches written by older builds (entries for retired spaces load but
+// change nothing), and the portatune CLI's handling of both.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +13,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <sys/wait.h>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include "simrt/tunables.hpp"
@@ -26,8 +29,12 @@ namespace {
 using namespace portabench;
 using namespace portabench::tune;
 
+/// Per-process path: ctest -j runs this binary's cases as separate
+/// processes (and the sanitized tier runs the whole binary three more
+/// times) at once, so a shared name would let one process overwrite or
+/// remove another's cache mid-test.
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "portabench_" + name;
+  return ::testing::TempDir() + "portabench_" + std::to_string(::getpid()) + "_" + name;
 }
 
 void write_file(const std::string& path, const std::string& text) {
@@ -113,30 +120,40 @@ TEST(TuningCache, TruncatedFileLoadsEmpty) {
 }
 
 TEST(TuningCache, VersionMismatchLoadsEmptyWithTypedStatus) {
-  TuningCache cache;
-  const CacheLoadResult r = cache.load_text(
-      "{\"schema_version\": 999, \"entries\": []}", "future.json");
-  EXPECT_EQ(r.status, CacheLoadStatus::kVersionMismatch);
-  EXPECT_NE(r.warning.find("version"), std::string::npos) << r.warning;
-  EXPECT_EQ(cache.size(), 0u);
+  // 1e999 parses as infinity: the warning must report it without an
+  // integer cast.
+  for (const char* version : {"999", "1e999"}) {
+    TuningCache cache;
+    const CacheLoadResult r = cache.load_text(
+        std::string("{\"schema_version\": ") + version + ", \"entries\": []}",
+        "future.json");
+    EXPECT_EQ(r.status, CacheLoadStatus::kVersionMismatch) << version;
+    EXPECT_NE(r.warning.find("version"), std::string::npos) << r.warning;
+    EXPECT_EQ(cache.size(), 0u);
+  }
 }
 
 TEST(TuningCache, SchemaViolationPoisonsWholeFile) {
-  // One malformed entry (config value is a string) drops the whole file:
-  // partial trust in a tuning cache is worse than none.
-  const std::string text =
-      "{\"schema_version\": 1, \"entries\": ["
-      "{\"space\":\"dispatch\",\"precision\":\"-\",\"size_class\":0,"
-      "\"fingerprint\":\"0x1\",\"machine\":\"m\",\"config\":{\"fork_cutoff\":1024},"
-      "\"tuned_ms\":1,\"default_ms\":2},"
-      "{\"space\":\"dispatch\",\"precision\":\"-\",\"size_class\":0,"
-      "\"fingerprint\":\"0x2\",\"machine\":\"m\",\"config\":{\"fork_cutoff\":\"fast\"},"
-      "\"tuned_ms\":1,\"default_ms\":2}"
-      "]}";
-  TuningCache cache;
-  const CacheLoadResult r = cache.load_text(text, "bad_entry.json");
-  EXPECT_EQ(r.status, CacheLoadStatus::kSchemaError);
-  EXPECT_EQ(cache.size(), 0u);
+  // One malformed entry drops the whole file: partial trust in a tuning
+  // cache is worse than none.  The malformed values include numbers no
+  // integer field can hold, which must be rejected before any cast.
+  const auto entry = [](const std::string& size_class, const std::string& value) {
+    return "{\"space\":\"dispatch\",\"precision\":\"-\",\"size_class\":" +
+           size_class +
+           ",\"fingerprint\":\"0x2\",\"machine\":\"m\",\"config\":{\"fork_cutoff\":" +
+           value + "},\"tuned_ms\":1,\"default_ms\":2}";
+  };
+  const std::string good = entry("0", "1024");
+  for (const std::string& bad :
+       {entry("0", "\"fast\""), entry("0", "1e999"), entry("0", "-1e999"),
+        entry("0", "1e300"), entry("1e300", "1024")}) {
+    const std::string text =
+        "{\"schema_version\": 1, \"entries\": [" + good + "," + bad + "]}";
+    TuningCache cache;
+    const CacheLoadResult r = cache.load_text(text, "bad_entry.json");
+    EXPECT_EQ(r.status, CacheLoadStatus::kSchemaError) << bad;
+    EXPECT_EQ(cache.size(), 0u) << bad;
+  }
 }
 
 TEST(TuningCache, FindIsFingerprintKeyed) {
@@ -315,73 +332,64 @@ TEST_F(TunedResolver, ServeBatchJobsFallsBackWhenUntuned) {
   std::remove(path.c_str());
 }
 
-TEST_F(TunedResolver, PerGcdSpaceOverlaysSingleDeviceWinner) {
-  const std::string path = temp_path("tuned_gcd_overlay.json");
+TEST_F(TunedResolver, FrozenKcNeverComesFromTheCache) {
+  // kc is order-affecting and frozen in the registry: a hand-edited
+  // entry may move the searchable knobs but never the KC panel depth,
+  // or the tiled result would stop matching the untuned run bit for bit.
+  const std::string path = temp_path("tuned_frozen_kc.json");
   TuningCache cache;
-  CacheEntry single = entry_for(fingerprint_hash(local_fingerprint()));
-  single.size_class = 5;
-  cache.put(single);  // gemm-tile: mc=128
-  CacheEntry gcd = entry_for(fingerprint_hash(local_fingerprint()), "gemm-tile-gcd");
-  gcd.size_class = 5;
-  gcd.config["mc"] = 32;
-  gcd.config["tier"] = 0;
-  cache.put(gcd);
+  CacheEntry e = entry_for(fingerprint_hash(local_fingerprint()));
+  e.config = {{"mc", 32}, {"kc", 3}, {"tier", 0}};
+  cache.put(e);
   ASSERT_TRUE(cache.save(path));
 
   Tuned& tuned = Tuned::instance();
   tuned.reset_for_testing(path);
-  // The plain resolver sees the single-device winner, the per-device one
-  // its own space's entry — sharded dispatch can diverge per GCD.
-  EXPECT_EQ(tuned.gemm_tile(Precision::kDouble, 5).mc, 128u);
-  const gemm::TileConfig& dev = tuned.gemm_tile_device(0, Precision::kDouble, 5);
-  EXPECT_EQ(dev.mc, 32u);
-  EXPECT_EQ(dev.tier, 0);
-  std::remove(path.c_str());
-}
-
-TEST_F(TunedResolver, PerGcdSpaceFallsBackToSingleDeviceWinner) {
-  const std::string path = temp_path("tuned_gcd_fallback.json");
-  TuningCache cache;
-  CacheEntry single = entry_for(fingerprint_hash(local_fingerprint()));
-  single.size_class = 7;
-  cache.put(single);  // only gemm-tile tuned, no gemm-tile-gcd entry
-  ASSERT_TRUE(cache.save(path));
-
-  Tuned& tuned = Tuned::instance();
-  tuned.reset_for_testing(path);
-  const gemm::TileConfig& dev = tuned.gemm_tile_device(3, Precision::kDouble, 7);
-  EXPECT_EQ(dev.mc, 128u);  // inherits the single-device winner
-  EXPECT_EQ(dev.tier, 1);
+  const gemm::TileConfig& cfg = tuned.gemm_tile(Precision::kDouble, e.size_class);
+  EXPECT_EQ(cfg.mc, 32u);
+  EXPECT_EQ(cfg.tier, 0);
+  EXPECT_EQ(cfg.kc, gemm::tiled::kKC);
   std::remove(path.c_str());
 }
 
 // --- caches written by older builds ------------------------------------
 
-/// A cache for this machine holding one "dispatch" entry and one entry
-/// for the retired "launch" space (gpusim launches now read the dispatch
-/// knobs; older builds tuned them separately).
-void write_stale_launch_cache(const std::string& path) {
+/// A cache for this machine holding one live "dispatch" and "gemm-tile"
+/// entry each, plus one entry for every retired space: "launch" (gpusim
+/// launches now read the dispatch knobs), "gemm-tile-gcd" (served tiles
+/// come from gemm-tile), and "primitives-radix" / "primitives-scan" (the
+/// primitives' schedules are call parameters).  Older builds wrote them.
+void write_retired_spaces_cache(const std::string& path) {
   const std::uint64_t local = fingerprint_hash(local_fingerprint());
+  const auto put = [&](TuningCache& cache, const char* space, Config config) {
+    CacheEntry e;
+    e.space = space;
+    e.fingerprint = local;
+    e.machine = "here";
+    e.config = std::move(config);
+    cache.put(std::move(e));
+  };
   TuningCache cache;
-  CacheEntry dispatch;
-  dispatch.space = "dispatch";
-  dispatch.fingerprint = local;
-  dispatch.machine = "here";
-  dispatch.config = {{"fork_cutoff", 1024}, {"chunks_per_thread", 16}, {"min_grain", 4}};
-  cache.put(dispatch);
-  CacheEntry launch;
-  launch.space = "launch";
-  launch.fingerprint = local;
-  launch.machine = "here";
-  launch.config = {{"fork_cutoff", 7}, {"chunks_per_worker", 2}};
-  cache.put(launch);
+  put(cache, "dispatch", {{"fork_cutoff", 1024}, {"chunks_per_thread", 16}, {"min_grain", 4}});
+  put(cache, "launch", {{"fork_cutoff", 7}, {"chunks_per_worker", 2}});
+  put(cache, "primitives-radix", {{"radix_bits", 2}, {"chunk", 2048}, {"lanes", 8}});
+  put(cache, "primitives-scan",
+      {{"chunk", 1024}, {"lanes", 32}, {"items_per_lane", 1}, {"segment", 1024}});
+  CacheEntry tile = entry_for(local);  // gemm-tile FP64 sc 5: mc=128, tier=1
+  cache.put(tile);
+  tile.space = "gemm-tile-gcd";
+  tile.config = {{"mc", 32}, {"kc", 256}, {"tier", 0}};
+  cache.put(tile);
   ASSERT_TRUE(cache.save(path));
 }
 
 TEST_F(TunedResolver, StaleLaunchEntryChangesNothing) {
-  ASSERT_EQ(find_space("launch"), nullptr);
+  for (const char* retired :
+       {"launch", "gemm-tile-gcd", "primitives-radix", "primitives-scan"}) {
+    ASSERT_EQ(find_space(retired), nullptr) << retired;
+  }
   const std::string path = temp_path("tuned_stale_space.json");
-  write_stale_launch_cache(path);
+  write_retired_spaces_cache(path);
   for (const char* var :
        {"PORTABENCH_TUNE_FORK_CUTOFF", "PORTABENCH_TUNE_CHUNK", "PORTABENCH_TUNE_MIN_GRAIN"}) {
     ::unsetenv(var);
@@ -399,22 +407,83 @@ TEST_F(TunedResolver, StaleLaunchEntryChangesNothing) {
   EXPECT_EQ(got.fork_cutoff, 1024u);
   EXPECT_EQ(got.chunks_per_thread, 16u);
   EXPECT_EQ(got.min_grain, 4u);
+  // The tile is the gemm-tile entry's, not the same-keyed gemm-tile-gcd
+  // entry's (mc=32, tier=0).
+  const gemm::TileConfig& tile = tuned.gemm_tile(Precision::kDouble, 5);
+  EXPECT_EQ(tile.mc, 128u);
+  EXPECT_EQ(tile.tier, 1);
   std::remove(path.c_str());
+}
+
+/// Runs `portatune <args>` with stderr folded into the returned output;
+/// `exit_code` receives the process exit status.
+std::string run_portatune(const std::string& args, int* exit_code) {
+  const std::string cmd = std::string(PORTATUNE_BIN) + " " + args + " 2>&1";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  EXPECT_NE(pipe, nullptr);
+  if (pipe == nullptr) return {};
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+  const int status = ::pclose(pipe);
+  *exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return out;
 }
 
 TEST(PortatuneShow, SkipsEntriesForRetiredSpaces) {
   const std::string path = temp_path("portatune_show_stale.json");
-  write_stale_launch_cache(path);
-  const std::string cmd = std::string(PORTATUNE_BIN) + " show --cache " + path;
-  FILE* pipe = ::popen(cmd.c_str(), "r");
-  ASSERT_NE(pipe, nullptr);
-  std::string out;
-  char buf[256];
-  while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
-  EXPECT_EQ(::pclose(pipe), 0) << out;
+  write_retired_spaces_cache(path);
+  int code = -1;
+  const std::string out = run_portatune("show --cache " + path, &code);
+  EXPECT_EQ(code, 0) << out;
   EXPECT_NE(out.find("\n  dispatch "), std::string::npos) << out;
-  EXPECT_EQ(out.find("\n  launch "), std::string::npos) << out;
+  EXPECT_NE(out.find("\n  gemm-tile "), std::string::npos) << out;
+  for (const char* retired :
+       {"launch", "gemm-tile-gcd", "primitives-radix", "primitives-scan"}) {
+    EXPECT_EQ(out.find(std::string("\n  ") + retired + " "), std::string::npos)
+        << retired << "\n" << out;
+  }
   std::remove(path.c_str());
+}
+
+TEST(PortatuneShow, MissingCacheIsReportedNotFatal) {
+  const std::string path = temp_path("portatune_no_such_cache.json");
+  std::remove(path.c_str());
+  int code = -1;
+  std::string out = run_portatune("show --cache " + path, &code);
+  EXPECT_EQ(code, 0) << out;
+  EXPECT_NE(out.find("no cache (missing)"), std::string::npos) << out;
+  out = run_portatune("verify --cache " + path, &code);
+  EXPECT_EQ(code, 0) << out;
+  EXPECT_NE(out.find("nothing to verify (missing)"), std::string::npos) << out;
+}
+
+TEST(PortatuneVerify, SkipsEntriesTunedAtAnotherSize) {
+  // size_class(64) is not 2: timing this winner on a 64-edge GEMM would
+  // judge it on a problem it was never tuned for.
+  const std::string path = temp_path("portatune_verify_size.json");
+  TuningCache cache;
+  CacheEntry e = entry_for(fingerprint_hash(local_fingerprint()), "gemm-tile", "FP64", 2);
+  cache.put(e);
+  ASSERT_TRUE(cache.save(path));
+  int code = -1;
+  const std::string out = run_portatune("verify --n 64 --reps 1 --cache " + path, &code);
+  EXPECT_EQ(code, 0) << out;
+  EXPECT_NE(out.find("0 entries checked"), std::string::npos) << out;
+  EXPECT_NE(out.find("1 skipped"), std::string::npos) << out;
+  std::remove(path.c_str());
+}
+
+TEST(PortatuneTune, UnknownSpaceExitsTwoAndNamesIt) {
+  const std::string path = temp_path("portatune_tune_unknown.json");
+  std::remove(path.c_str());
+  int code = -1;
+  const std::string out =
+      run_portatune("tune --quick --spaces gemm-tile,no-such-space --cache " + path, &code);
+  EXPECT_EQ(code, 2) << out;
+  EXPECT_NE(out.find("no-such-space"), std::string::npos) << out;
+  TuningCache cache;
+  EXPECT_EQ(cache.load(path).status, CacheLoadStatus::kMissing);  // nothing tuned
 }
 
 }  // namespace

@@ -169,8 +169,13 @@ TEST(Registry, DispatchFacingSpacesExistWithValidDefaults) {
     }
   }
   EXPECT_EQ(find_space("no-such-space"), nullptr);
-  // gpusim launches read the dispatch space's knobs; no launch space.
-  EXPECT_EQ(find_space("launch"), nullptr);
+  // Retired spaces whose winners no code path applied: gpusim launches
+  // read the dispatch knobs, every served tile comes from gemm-tile, and
+  // the primitives' schedules are call parameters.
+  for (const char* retired :
+       {"launch", "gemm-tile-gcd", "primitives-radix", "primitives-scan"}) {
+    EXPECT_EQ(find_space(retired), nullptr) << retired;
+  }
 }
 
 TEST(Registry, GemmKcIsFrozenOrderAffecting) {

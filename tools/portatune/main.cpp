@@ -2,16 +2,19 @@
 //
 //   portatune tune   [--spaces=a,b] [--cache=F] [--budget-ms=N] [--n=N]
 //   portatune show   [--cache=F]
-//   portatune verify [--cache=F] [--reps=N]
+//   portatune verify [--cache=F] [--reps=N] [--n=N]
 //
 // `tune` searches each requested registry space with the same harness
 // the benches use (default measured first, IQR noise floor, hill-climb
 // on large spaces) and merges the winners into the cache keyed by this
-// machine's fingerprint.  `show` prints the cache against the registry,
+// machine's fingerprint; a --spaces name the registry does not know is
+// an error (exit 2).  `show` prints the cache against the registry,
 // skipping entries for spaces the registry no longer has.
-// `verify` re-measures every local-fingerprint entry against the space
-// default and fails if a cached winner has gone stale (slower than the
-// default beyond the re-measured noise floor).
+// `verify` re-measures every local-fingerprint entry whose workload this
+// run builds (space, precision and --n size class) against the space
+// default, counts the rest as skipped, and fails if a cached winner has
+// gone stale (slower than the default beyond the re-measured noise
+// floor).
 #include <algorithm>
 #include <cstdio>
 #include <exception>
@@ -50,16 +53,9 @@ std::vector<Workload> all_workloads(std::size_t n) {
   for (const Precision p : {Precision::kDouble, Precision::kSingle, Precision::kHalfIn}) {
     out.push_back({"gemm-tile", std::string(name(p)), sc,
                    gemm_tile_objective(p, n), false});
-    // Same kernel, sharded regime: the per-GCD space re-measures the
-    // tile objective so multi-device dispatch can diverge from the
-    // single-device winner when the node shape rewards it.
-    out.push_back({"gemm-tile-gcd", std::string(name(p)), sc,
-                   gemm_tile_objective(p, n), false});
   }
   out.push_back({"dispatch", "-", 0, dispatch_objective(), false});
   out.push_back({"serve-batch", "-", 0, serve_batch_objective(), false});
-  out.push_back({"primitives-radix", "-", 0, primitives_radix_objective(), false});
-  out.push_back({"primitives-scan", "-", 0, primitives_scan_objective(), false});
   out.push_back({"gpu-unroll", "-", 0,
                  [](const Config& c) {
                    return modeled_unroll_cost(config_value(
@@ -116,6 +112,12 @@ int cmd_tune(const CliParser& cli) {
   const std::string path = cli.get("cache");
   const std::vector<std::string> filter = split_csv(cli.get("spaces"));
   const auto n = static_cast<std::size_t>(cli.get_int("n"));
+  for (const std::string& f : filter) {
+    if (find_space(f) == nullptr) {
+      std::fprintf(stderr, "portatune: unknown space '%s' in --spaces\n", f.c_str());
+      return 2;
+    }
+  }
 
   TuningCache cache;
   warn_if_bad_load(cache, cache.load(path));
@@ -133,11 +135,9 @@ int cmd_tune(const CliParser& cli) {
     opt.budget_ms = std::min(opt.budget_ms, 500.0);
   }
 
-  int tuned = 0;
   for (Workload& w : all_workloads(n)) {
     if (!wanted(w.space, filter)) continue;
     const SpaceDesc* space = find_space(w.space);
-    if (space == nullptr) continue;
     SearchOptions wopt = opt;
     wopt.deterministic = w.deterministic;
     const TuneResult r = tune_space(*space, w.objective, wopt);
@@ -152,7 +152,6 @@ int cmd_tune(const CliParser& cli) {
     e.tuned_ms = r.best_ms;
     e.default_ms = r.default_ms;
     cache.put(std::move(e));
-    ++tuned;
 
     const double speedup = r.best_ms > 0.0 ? r.default_ms / r.best_ms : 1.0;
     std::printf("%-11s %-5s sc=%-2u  %-40s %8.3f ms (default %8.3f, x%.2f%s%s)\n",
@@ -162,10 +161,6 @@ int cmd_tune(const CliParser& cli) {
                 r.budget_exhausted ? ", budget hit" : "");
   }
 
-  if (tuned == 0) {
-    std::fprintf(stderr, "portatune: no spaces matched --spaces filter\n");
-    return 2;
-  }
   if (!cache.save(path)) {
     std::fprintf(stderr, "portatune: cannot write %s\n", path.c_str());
     return 1;
@@ -181,7 +176,8 @@ int cmd_show(const CliParser& cli) {
   const CacheLoadResult r = cache.load(path);
   warn_if_bad_load(cache, r);
   if (r.status == CacheLoadStatus::kMissing) {
-    std::printf("%s: no cache (%s)\n", path.c_str(), cache_status_name(r.status));
+    std::printf("%s: no cache (%s)\n", path.c_str(),
+                std::string(cache_status_name(r.status)).c_str());
     return 0;
   }
 
@@ -211,7 +207,7 @@ int cmd_verify(const CliParser& cli) {
   warn_if_bad_load(cache, r);
   if (r.status != CacheLoadStatus::kOk) {
     std::fprintf(stderr, "portatune: nothing to verify (%s)\n",
-                 cache_status_name(r.status));
+                 std::string(cache_status_name(r.status)).c_str());
     return r.status == CacheLoadStatus::kMissing ? 0 : 1;
   }
 
@@ -219,15 +215,24 @@ int cmd_verify(const CliParser& cli) {
   std::vector<Workload> workloads = all_workloads(n);
   int checked = 0;
   int stale = 0;
+  int skipped = 0;
   for (const CacheEntry& e : cache.entries()) {
     if (e.fingerprint != local) continue;
     const SpaceDesc* space = find_space(e.space);
-    if (space == nullptr) continue;
+    // Only an entry whose workload this run can rebuild is re-measured:
+    // a gemm-tile winner tuned at another --n belongs to another size
+    // class, and timing it here would judge it on the wrong problem.
     Workload* w = nullptr;
     for (Workload& cand : workloads) {
-      if (cand.space == e.space && cand.precision == e.precision) w = &cand;
+      if (cand.space == e.space && cand.precision == e.precision &&
+          cand.size_class == e.size_class) {
+        w = &cand;
+      }
     }
-    if (w == nullptr) continue;
+    if (space == nullptr || w == nullptr) {
+      ++skipped;
+      continue;
+    }
 
     const int eff_reps = w->deterministic ? 1 : reps;
     const Config defaults = default_config(*space);
@@ -242,7 +247,8 @@ int cmd_verify(const CliParser& cli) {
                 e.space.c_str(), e.precision.c_str(), tm.median_ms, dm.median_ms,
                 dm.noise_ms, ok ? "ok" : "STALE");
   }
-  std::printf("%d entr%s checked, %d stale\n", checked, checked == 1 ? "y" : "ies", stale);
+  std::printf("%d entr%s checked, %d stale, %d skipped\n", checked,
+              checked == 1 ? "y" : "ies", stale, skipped);
   return stale == 0 ? 0 : 1;
 }
 
