@@ -1,7 +1,6 @@
 #include "gpu_runners.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -91,36 +90,21 @@ void run_gpu_gemm(gpusim::DeviceContext& device, const gemm::GpuLaunchConfig& cf
   result.checksum = gemm::checksum(std::span<const Acc>(hC));
 
   if (config.verify) {
-    // Reinterpret the flat buffers as views in the kernel's layout and
-    // compare against the reference GEMM on the same inputs.
-    auto wrap = [&](std::span<T> flat) {
-      if (column_major) {
-        simrt::View2<T, simrt::LayoutLeft> v(n, n);
-        for (std::size_t j = 0; j < n; ++j) {
-          for (std::size_t i = 0; i < n; ++i) v(i, j) = flat[i + j * n];
-        }
-        return v;
-      }
-      simrt::View2<T, simrt::LayoutLeft> v(n, n);
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) v(i, j) = flat[i * n + j];
-      }
-      return v;
+    // Reference GEMM on the same flat inputs, viewed in the kernel's own
+    // layout; C_ref shares hC's layout, so the buffers compare flat.
+    std::vector<Acc> C_ref(elems, Acc{});
+    auto reference_in = [&]<class Layout>(Layout) {
+      gemm::reference_gemm<Acc>(simrt::RawView2<const T, Layout>(hA.data(), n, n),
+                                simrt::RawView2<const T, Layout>(hB.data(), n, n),
+                                simrt::RawView2<Acc, Layout>(C_ref.data(), n, n));
     };
-    auto A = wrap(std::span<T>(hA));
-    auto B = wrap(std::span<T>(hB));
-    simrt::View2<Acc, simrt::LayoutLeft> C_ref(n, n);
-    gemm::reference_gemm<Acc>(A, B, C_ref);
-
-    double worst = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        const std::size_t idx = column_major ? i + j * n : i * n + j;
-        worst = std::max(worst, std::abs(static_cast<double>(hC[idx]) -
-                                         static_cast<double>(C_ref(i, j))));
-      }
+    if (column_major) {
+      reference_in(simrt::LayoutLeft{});
+    } else {
+      reference_in(simrt::LayoutRight{});
     }
-    result.max_error = worst;
+    result.max_error =
+        gemm::max_abs_diff(std::span<const Acc>(hC), std::span<const Acc>(C_ref));
     result.tolerance = gemm::gemm_tolerance(config.precision, n);
     result.verified = result.max_error <= result.tolerance;
   }

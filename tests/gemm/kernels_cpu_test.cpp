@@ -1,10 +1,13 @@
 // Correctness tests for the four CPU GEMM kernels of Fig. 2 against the
-// blocked reference, across precisions, layouts, and shapes.
+// reference GEMM, across precisions, layouts, and shapes, and the
+// reference's own bitwise contract.
 #include "gemm/kernels_cpu.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
+#include <vector>
 
 #include "common/half.hpp"
 #include "common/rng.hpp"
@@ -16,6 +19,7 @@ namespace {
 
 using simrt::LayoutLeft;
 using simrt::LayoutRight;
+using simrt::RawView2;
 using simrt::SerialSpace;
 using simrt::ThreadsSpace;
 using simrt::View2;
@@ -227,19 +231,69 @@ TEST(TeamGemm, ZeroTeamSizeRejected) {
   EXPECT_THROW(gemm_team_style<double>(space, A, B, C, 0), precondition_error);
 }
 
-TEST(ReferenceGemm, BlockSizeInvariant) {
-  // Property: the blocked reference gives identical results for any block
-  // size (it never reorders the k-accumulation).
-  constexpr std::size_t kN = 37;
-  auto A = random_matrix<double, LayoutRight>(kN, kN, 21);
-  auto B = random_matrix<double, LayoutRight>(kN, kN, 22);
-  View2<double, LayoutRight> C1(kN, kN);
-  View2<double, LayoutRight> C2(kN, kN);
-  reference_gemm<double>(A, B, C1, /*block=*/64);
-  reference_gemm<double>(A, B, C2, /*block=*/7);
-  // Same partial order within blocks of k? No: blocking over k reorders
-  // accumulation, so allow rounding-level differences.
-  EXPECT_LE(max_abs_diff(C1, C2), gemm_tolerance(Precision::kDouble, kN));
+// ---- the reference's bitwise contract ------------------------------------
+// reference_gemm picks its loop order from C's layout, but every C(i,j)
+// must take the same steps, l ascending, as the textbook i-j-l loop below:
+// the same bits for any layout mix and either view type.
+
+template <class Acc, class VA, class VB, class VC>
+void textbook_gemm(const VA& A, const VB& B, VC& C) {
+  using TC = typename VC::value_type;
+  for (std::size_t i = 0; i < C.extent(0); ++i) {
+    for (std::size_t j = 0; j < C.extent(1); ++j) {
+      for (std::size_t l = 0; l < A.extent(1); ++l) {
+        C(i, j) = static_cast<TC>(static_cast<Acc>(C(i, j)) +
+                                  static_cast<Acc>(A(i, l)) * static_cast<Acc>(B(l, j)));
+      }
+    }
+  }
+}
+
+template <class T, class Acc, class LA, class LB, class LC>
+void expect_reference_bitwise(std::size_t m, std::size_t k, std::size_t n) {
+  SCOPED_TRACE(::testing::Message() << LA::label << "/" << LB::label << "/" << LC::label
+                                    << " m=" << m << " k=" << k << " n=" << n);
+  const auto A = random_matrix<T, LA>(m, k, 61);
+  const auto B = random_matrix<T, LB>(k, n, 62);
+  const auto C0 = random_matrix<Acc, LC>(m, n, 63);  // nonzero starting C
+  const std::size_t bytes = m * n * sizeof(Acc);
+  View2<Acc, LC> expected(m, n);
+  View2<Acc, LC> from_views(m, n);
+  std::vector<Acc> from_raw(m * n);
+  std::memcpy(expected.data(), C0.data(), bytes);
+  std::memcpy(from_views.data(), C0.data(), bytes);
+  std::memcpy(from_raw.data(), C0.data(), bytes);
+
+  textbook_gemm<Acc>(A, B, expected);
+  reference_gemm<Acc>(A, B, from_views);
+  reference_gemm<Acc>(RawView2<const T, LA>(A.data(), m, k),
+                      RawView2<const T, LB>(B.data(), k, n),
+                      RawView2<Acc, LC>(from_raw.data(), m, n));
+  EXPECT_EQ(std::memcmp(from_views.data(), expected.data(), bytes), 0) << "View2 inputs";
+  EXPECT_EQ(std::memcmp(from_raw.data(), expected.data(), bytes), 0) << "RawView2 inputs";
+}
+
+template <class T, class Acc>
+void expect_reference_bitwise_all_layouts(std::size_t m, std::size_t k, std::size_t n) {
+  expect_reference_bitwise<T, Acc, LayoutRight, LayoutRight, LayoutRight>(m, k, n);
+  expect_reference_bitwise<T, Acc, LayoutRight, LayoutRight, LayoutLeft>(m, k, n);
+  expect_reference_bitwise<T, Acc, LayoutRight, LayoutLeft, LayoutRight>(m, k, n);
+  expect_reference_bitwise<T, Acc, LayoutRight, LayoutLeft, LayoutLeft>(m, k, n);
+  expect_reference_bitwise<T, Acc, LayoutLeft, LayoutRight, LayoutRight>(m, k, n);
+  expect_reference_bitwise<T, Acc, LayoutLeft, LayoutRight, LayoutLeft>(m, k, n);
+  expect_reference_bitwise<T, Acc, LayoutLeft, LayoutLeft, LayoutRight>(m, k, n);
+  expect_reference_bitwise<T, Acc, LayoutLeft, LayoutLeft, LayoutLeft>(m, k, n);
+}
+
+TEST(ReferenceGemm, BitwiseEqualsTextbookLoop) {
+  // Shapes cover one element, line counts on both sides of the four-line
+  // block, and k above and below n.
+  constexpr std::size_t kShapes[][3] = {{1, 1, 1}, {3, 65, 7}, {65, 3, 129}, {70, 130, 66}};
+  for (const auto& s : kShapes) {
+    expect_reference_bitwise_all_layouts<double, double>(s[0], s[1], s[2]);
+    expect_reference_bitwise_all_layouts<float, float>(s[0], s[1], s[2]);
+    expect_reference_bitwise_all_layouts<half, float>(s[0], s[1], s[2]);
+  }
 }
 
 }  // namespace

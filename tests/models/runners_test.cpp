@@ -46,14 +46,20 @@ TEST_P(AllRunnersTest, FunctionalRunVerifiesAgainstReference) {
   EXPECT_EQ(runner->family(), c.family);
   EXPECT_EQ(runner->platform(), c.platform);
 
-  RunConfig config;
-  config.n = 48;
-  config.precision = c.precision;
-  const RunResult result = runner->run(config);
-  EXPECT_TRUE(result.verified) << "max_error=" << result.max_error
-                               << " tolerance=" << result.tolerance;
-  EXPECT_NE(result.checksum, 0.0);
-  EXPECT_GT(result.model_gflops, 0.0);
+  // 37 is odd and leaves a remainder after every block and line group, so
+  // a wrong layout, stride or edge in a kernel or the verify path fails
+  // `verified`.
+  for (const std::size_t n : {48, 37}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    RunConfig config;
+    config.n = n;
+    config.precision = c.precision;
+    const RunResult result = runner->run(config);
+    EXPECT_TRUE(result.verified) << "max_error=" << result.max_error
+                                 << " tolerance=" << result.tolerance;
+    EXPECT_NE(result.checksum, 0.0);
+    EXPECT_GT(result.model_gflops, 0.0);
+  }
 }
 
 std::string case_name(const ::testing::TestParamInfo<RunnerCase>& info) {
